@@ -49,7 +49,7 @@ CODES: Dict[str, str] = {
     "JNS-PARSE-002": "expected a type or declaration",
     "JNS-PARSE-003": "invalid assignment or increment target",
     "JNS-PARSE-004": "method body missing or misplaced",
-    "JNS-PARSE-005": "expression or type nesting too deep",
+    "JNS-PARSE-005": "class, statement, expression or type nesting too deep",
     # -- name resolution ----------------------------------------------
     "JNS-RESOLVE-001": "unknown name",
     "JNS-RESOLVE-002": "unknown type name or class",

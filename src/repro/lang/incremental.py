@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+from itertools import repeat
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -141,12 +142,15 @@ def _node_sig(node: Any) -> Any:
     included.  Only valid before resolution rewrites the tree."""
     if node is None or isinstance(node, (str, int, float, bool)):
         return node
+    # map instead of generator expressions: each generator frame would
+    # double the Python stack this recursion needs per level of nesting
+    # (see MAX_NESTING in source/parser.py)
     if isinstance(node, (list, tuple)):
-        return tuple(_node_sig(x) for x in node)
+        return tuple(map(_node_sig, node))
     if dataclasses.is_dataclass(node):
+        names = [f.name for f in dataclasses.fields(node)]
         return (type(node).__name__,) + tuple(
-            _node_sig(getattr(node, f.name))
-            for f in dataclasses.fields(node)
+            map(_node_sig, map(getattr, repeat(node), names))
         )
     return repr(node)
 
@@ -612,7 +616,7 @@ class IncrementalChecker:
                 # surviving cache entry that retained them (vtables,
                 # ``find_method`` results green-revalidated under an
                 # unchanged interface) observes the new bodies.  The
-                # member ids are retired so compiled bodies re-compile.
+                # member ids are retired so emitted bodies are re-emitted.
                 old_ms = [
                     m for m in old.members
                     if not isinstance(m, ast.ClassDecl)

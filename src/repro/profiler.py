@@ -1,11 +1,10 @@
-"""Source-level profiling: jns line attribution across every backend.
+"""Source-level profiling: jns line attribution on both backends.
 
 Two collectors feed one per-line table:
 
 * :class:`LineProfiler` — the deterministic event-cost profiler.  The
-  walker swaps in a counting ``exec_stmt``, the closure/register
-  compilers wrap each compiled statement, and the codegen emitter plants
-  explicit hit calls — all only when the interpreter was built with
+  walker swaps in a counting ``exec_stmt`` and the codegen emitter plants
+  explicit hit calls — both only when the interpreter was built with
   ``line_profile=True``, so unprofiled runs pay nothing (same
   zero-overhead discipline as the fuel counter).  A handful of shared
   runtime hot sites (mask checks in ``get_field``, view adaptation in
@@ -27,13 +26,13 @@ an annotated-source terminal heatmap, a self-contained HTML report, or
 JSON (the ``profile`` op of ``repro serve``).
 
 The deterministic event columns are cross-backend invariants: the
-``steps`` column (statement entries) agrees exactly between walker,
-compiled, specialized, and codegen runs of the same program, as do the
+``steps`` column (statement entries) agrees exactly between walker and
+codegen runs of the same program, as do the
 ``mask`` and ``view`` columns (the codegen tier plants explicit events
 on its elided fast paths so optimized-away work is still attributed).
 The ``dispatch`` column deliberately is *not* invariant — it counts
 dynamic dispatch lookups, which specialization and codegen exist to
-elide, so comparing it across tiers shows exactly what devirtualization
+elide, so comparing it across the tiers shows exactly what devirtualization
 removed.
 """
 
@@ -553,7 +552,7 @@ class ProfileReport:
             "<li><b>self&nbsp;ms</b> — wall-clock sampled in the codegen"
             " tier, resolved through the emitted-source line map</li>"
             "<li><b>disp</b> — megamorphic method lookups (tier-dependent:"
-            " the optimizing tiers elide them)</li>"
+            " codegen elides them)</li>"
             "<li><b>view</b> — view-change applications</li>"
             "<li><b>mask</b> — sharing-mask checks on field reads</li>"
             "</ul></details>"
@@ -603,7 +602,7 @@ def run_deterministic(
     program,
     entry: str = "Main.main",
     args: Tuple = (),
-    backend: str = "specialized",
+    backend: str = "codegen",
     mode: str = "jns",
 ) -> Tuple[Dict[str, Dict[int, int]], Any]:
     """One profiled run on a deterministic tier; returns (snapshot,
@@ -655,7 +654,7 @@ def profile_source(
     entry: str = "Main.main",
     args: Tuple = (),
     mode: str = "jns",
-    det_backend: str = "specialized",
+    det_backend: str = "codegen",
     sample: bool = True,
     interval: float = 0.001,
     min_samples: int = 0,

@@ -1,13 +1,12 @@
-"""The ``jns -> Python`` source-level codegen backend (tier above the
-register compiler).
+"""The ``jns -> Python`` source-level codegen backend: the fast path of
+the two execution tiers (the tree walker in :mod:`repro.runtime.interp`
+is the other, and the reference semantics).
 
-The register backend (:class:`~repro.runtime.compiler.RegisterCompiler`)
-still pays one Python closure call per expression node.  This module
-removes that layer: each specialized method/constructor body is walked
-once and *emitted* as real Python source — then ``compile()``d and
-``exec``'d into a plain function cached per ``(declaration, view path)``.
-The specialization products of :mod:`repro.runtime.specialize` are baked
-directly into the emitted text:
+Each specialized method/constructor body is walked once and *emitted* as
+real Python source — then ``compile()``d and ``exec``'d into a plain
+function cached per ``(declaration, view path)``.  The specialization
+products of :mod:`repro.runtime.specialize` are baked directly into the
+emitted text:
 
 * slot indices from the :class:`~repro.runtime.specialize.Layout` appear
   as literal ``inst.slots[i]`` accesses;
@@ -20,11 +19,16 @@ directly into the emitted text:
 Semantics stay anchored to the interpreter: every slow path (generic
 field access, dispatch misses, casts, dependent types, view changes)
 calls straight back into the same :class:`~repro.runtime.interp.Interp`
-entry points the other backends use, and every emitted call routes
-through ``Interp._codegen_call`` so stack labels, ``JNS-RES-001``/
+entry points the walker uses, and every emitted call routes through
+``Interp._codegen_call`` so stack labels, ``JNS-RES-001``/
 ``JNS-RES-002`` budgets, and RecursionError snapshots are identical.
 The step budget is charged per call and per loop iteration (never per
 node), so unmetered runs pay nothing.
+
+A body CPython refuses to compile — more than 20 nested loops, more
+than 100 levels of indentation, more than 200 nested parentheses —
+falls back to the walker for that one body (counted as
+``codegen.fallback``); every other body of the program stays emitted.
 
 Emission is deliberately temp-heavy: any subexpression that can raise,
 count, or touch the heap is assigned to a fresh single-assignment local
@@ -41,9 +45,11 @@ callee cells from their compiler, so an incremental edit
 :class:`CodegenCompiler` (``Interp._on_table_edit``) rather than trying
 to invalidate closures piecemeal.
 
-Selected with ``repro run --backend codegen`` (the default); the
-four-way differential in ``tests/test_specialize_differential.py`` locks
-the semantics against the other three backends.
+Selected with ``backend="codegen"`` (the default of ``repro run``,
+``serve``, ``profile``, the REPL and the CorONA chaos shards); the
+walker-vs-codegen differential in
+``tests/test_specialize_differential.py`` locks the semantics against
+the walker across all four modes.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from ..lang.types import ClassType, View
 from ..obs import TRACER
 from ..profiler import PROFILER, EmittedSource
 from ..source import ast
-from .interp import _jdiv, _jmod, to_jstring
+from .interp import _Return, _jdiv, _jmod, to_jstring
 from .values import (
     ABSENT,
     JnsRuntimeError,
@@ -144,7 +150,7 @@ class _Emitter:
         except JnsError:
             # Unresolvable sharing state: every ``this`` access falls back
             # to the generic accessors, which re-raise at the use site —
-            # the same laziness the register backend gets per site.
+            # the same laziness the walker has per access.
             self.cspec = None
 
     # -- writer helpers -------------------------------------------------
@@ -937,8 +943,8 @@ class _Emitter:
         self, params, body_emit, entry_tick: bool = True, entry_pos=None,
     ) -> Tuple[Any, str]:
         """Assemble, ``compile()``, and ``exec`` the function.  ``params``
-        are the J&s parameter declarations (``this`` is always register
-        0 — here, always the first positional argument); ``body_emit``
+        are the J&s parameter declarations (``this`` is always the
+        first positional argument); ``body_emit``
         is a thunk that runs the emitter over the body.  ``entry_pos``
         (the declaration's span) attributes the scaffolding the function
         spends its entry in — the header and the fuel/ABSENT prologue —
@@ -949,7 +955,7 @@ class _Emitter:
             names.append("u_" + p.name)
             seen["u_" + p.name] = i
         # a duplicated parameter name maps to its last occurrence, as in
-        # the dict and register frames
+        # the walker's dict frame
         for i, n in enumerate(list(names)):
             if seen[n] != i:
                 names[i] = f"_shadow{i}"
@@ -1134,6 +1140,8 @@ class CodegenCompiler:
         self.sharing = interp.sharing
         self.bodies_emitted = 0
         self.sites_inlined = 0
+        #: bodies CPython refused to compile, run on the walker instead
+        self.fallbacks = 0
         self._fns: Dict[Tuple[int, Any], Any] = {}
         self._allocs: Dict[Any, Any] = {}
         #: emitted text per label; values are :class:`EmittedSource`
@@ -1163,21 +1171,38 @@ class CodegenCompiler:
         if TRACER.enabled:
             TRACER.count("codegen.bodies_emitted")
 
+    def _note_fallback(self) -> None:
+        self.fallbacks += 1
+        if TRACER.enabled:
+            TRACER.count("codegen.fallback")
+
     def stats(self) -> Dict[str, int]:
-        return {
+        out = {
             "bodies_emitted": self.bodies_emitted,
             "sites_inlined": self.sites_inlined,
         }
+        # present only once a body fell back, so consumers that sum a
+        # fixed key set over ordinary programs see the keys they expect
+        if self.fallbacks:
+            out["fallback"] = self.fallbacks
+        return out
 
     # -- emitted units ---------------------------------------------------
 
     def method_fn(self, decl, path):
         """The compiled Python function for a method/constructor body,
-        specialized for receivers viewed as ``path``."""
+        specialized for receivers viewed as ``path``.  A body nested
+        deeper than CPython's compiler accepts (20 loops, 100 indents)
+        runs on the walker instead."""
         key = (id(decl), path)
         fn = self._fns.get(key)
         if fn is None:
-            fn = self._fns[key] = self._emit_method(decl, path)
+            try:
+                fn = self._emit_method(decl, path)
+            except SyntaxError:  # includes IndentationError
+                self._note_fallback()
+                fn = _walker_body(self.interp, decl)
+            self._fns[key] = fn
         return fn
 
     def _emit_method(self, decl, path):
@@ -1216,10 +1241,15 @@ class CodegenCompiler:
             def body():
                 em.w(f"return {em.emit(decl.init)}")
 
-            fn, src = em.finish((), body, entry_pos=decl.pos)
-            self.sources[label] = src
-            self.by_filename[src.filename] = src
-            self._note_body()
+            try:
+                fn, src = em.finish((), body, entry_pos=decl.pos)
+            except SyntaxError:
+                self._note_fallback()
+                fn = _walker_init(self.interp, decl)
+            else:
+                self.sources[label] = src
+                self.by_filename[src.filename] = src
+                self._note_body()
             self._fns[key] = fn
         return fn
 
@@ -1227,7 +1257,7 @@ class CodegenCompiler:
 
     def allocate(self, rtc, path, args):
         """Specialized allocation over emitted initializers — the codegen
-        mirror of ``Interp._new_instance_spec`` (identical trace counts,
+        mirror of ``Interp._new_instance`` (identical trace counts,
         schedule order, and constructor diagnostics)."""
         plan = self._allocs.get(path)
         if plan is None:
@@ -1547,6 +1577,32 @@ class CodegenCompiler:
             return result
 
         return dyn_view
+
+
+def _walker_body(interp, decl):
+    """A method/constructor body run by the tree walker, callable like an
+    emitted one (``fn(this, *args)``): the walker's dict frame, its
+    ``_Return`` unwinding, and the interpreter's own ``exec_stmt`` (so
+    fuel metering and line profiling behave as on the walker)."""
+    names = [p.name for p in decl.params]
+    body = decl.body
+
+    def run(this, *args):
+        frame = {"this": this}
+        frame.update(zip(names, args))
+        try:
+            interp.exec_stmt(body, frame)
+        except _Return as r:
+            return r.value
+        return None
+
+    return run
+
+
+def _walker_init(interp, decl):
+    """A field initializer evaluated by the tree walker (``fn(this)``)."""
+    init = decl.init
+    return lambda this: interp.eval(init, {"this": this})
 
 
 def _make_hit(interp, label, fn):

@@ -5,8 +5,8 @@ Java bytecode (Section 6), with Section 6.3 describing an object layout
 engineered so view changes are cheap and shared field access is direct.
 This module is the analogous ahead-of-time pass for the Python substrate.
 It runs after loading and before execution, and feeds three
-specializations consumed by :class:`~repro.runtime.compiler.RegisterCompiler`
-and the interpreter's specialized allocation/call paths:
+specializations that :mod:`repro.runtime.codegen` bakes into the Python
+source it emits:
 
 1. **Slotted object layouts** — for each runtime class, a fixed
    field→integer-slot table over the class's *sharing group*: one slot
@@ -29,14 +29,12 @@ All whole-program analyses (slot universes, sealed targets, conformance
 sets) live on the :class:`~repro.lang.classtable.ClassTable` query
 engine, so they amortize across every interpreter sharing the table;
 this class only assembles the per-interpreter :class:`ClassSpec` records
-(which embed compiled initializers and mode-dependent layouts).
+(which embed initializer schedules and mode-dependent layouts).
 
-Escape hatch: ``repro run --backend specialized`` keeps this pass but
-skips the codegen tier above it (:mod:`repro.runtime.codegen`), and
-``--backend compiled``/``walker`` (or ``Program.interp(backend=...)``;
-``--no-specialize`` survives as a deprecated alias for
-``--backend compiled``) restore the unspecialized backends.  The
-four-way differential test locks the semantics.
+Only the ``codegen`` backend runs this pass; ``repro run --backend
+walker`` (or ``Program.interp(backend="walker")``) executes the same
+program unspecialized, and the walker-vs-codegen differential test locks
+the semantics.
 """
 
 from __future__ import annotations
@@ -97,7 +95,7 @@ class ClassSpec:
 
 class Specializer:
     """Assembles and caches :class:`ClassSpec` records for one
-    interpreter, and answers the devirtualization query for its compiled
+    interpreter, and answers the devirtualization query for its emitted
     call sites.  Counters (``slots_built`` / ``sites_devirtualized`` /
     ``views_elided``) are maintained unconditionally; the matching
     ``specialize.*`` tracer counters fire only while tracing is on."""
@@ -237,7 +235,7 @@ class Specializer:
     def noop_view_paths(self, target: Type):
         """Public wrapper over the sharing checker's no-op view set: the
         source view paths from which an unmasked adapt to ``target`` is
-        provably the identity.  Used by the compiled backends to elide
+        provably the identity.  Used by the codegen emitter to elide
         explicit view changes and call-receiver adapters per site."""
         return self._noop_paths(target)
 
@@ -277,7 +275,7 @@ class Specializer:
         return self.table.monomorphic_method_target(name, paths)
 
     def note_devirtualized(self) -> None:
-        """Called by the compiler when it statically binds a call site."""
+        """Called by the emitter when it statically binds a call site."""
         self.sites_devirtualized += 1
         if TRACER.enabled:
             TRACER.count("specialize.sites_devirtualized")

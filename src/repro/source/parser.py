@@ -16,7 +16,7 @@ what the evaluation programs need:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..diagnostics import DiagnosticSink, Span
 from ..errors import JnsError
@@ -55,10 +55,17 @@ class ParseError(JnsError):
         self.token = token
 
 
-#: Maximum nesting of expressions/types.  Each level costs a bounded
-#: number of Python frames (see :func:`parse_program`), so this keeps
-#: adversarial inputs well inside the temporarily-raised stack limit.
-MAX_NESTING = 1200
+#: The one structural-depth budget of the front end.  Nested classes,
+#: statements, expressions and types all count against it, and so does
+#: every operator of a left-associative chain and every selector of a
+#: postfix chain, so it bounds the depth of the AST that later passes
+#: recurse on.  Those passes (resolve, typecheck, unparse, the incremental
+#: checker's signatures) cost at most three Python frames per level:
+#: a program at the budget fits CPython's default recursion limit of
+#: 1000 with room for the caller's own stack.  The parser runs under a
+#: temporarily raised limit (see :func:`parse_program`), the walker and
+#: codegen emission under the interpreter's.
+MAX_NESTING = 250
 
 
 class Parser:
@@ -127,7 +134,12 @@ class Parser:
         tok = self.peek()
         return (tok.line, tok.col)
 
-    def _enter_nesting(self) -> None:
+    def _enter_nesting(self) -> int:
+        """Count one more level of structure against :data:`MAX_NESTING`
+        and return the depth to restore on the way out (restoring, not
+        decrementing, also unwinds the per-operator levels that
+        left-associative chains add inside the construct)."""
+        base = self._depth
         self._depth += 1
         if self._depth > MAX_NESTING:
             raise ParseError(
@@ -135,6 +147,15 @@ class Parser:
                 self.peek(),
                 code="JNS-PARSE-005",
             )
+        return base
+
+    def _nested(self, parse: Callable[[], Any]) -> Any:
+        """Run ``parse`` one level deeper."""
+        base = self._enter_nesting()
+        try:
+            return parse()
+        finally:
+            self._depth = base
 
     # -- panic-mode recovery ----------------------------------------------
 
@@ -239,7 +260,7 @@ class Parser:
         if self.at_keyword("class") or (
             self.at_keyword("abstract") and self.peek(1).is_keyword("class")
         ):
-            return self.parse_class_decl()
+            return self._nested(self.parse_class_decl)
         # Constructor: <ClassName> ( ... )
         if (
             self.peek().kind == IDENT
@@ -303,7 +324,7 @@ class Parser:
     # -- types ------------------------------------------------------------
 
     def parse_type(self) -> ast.TypeAST:
-        self._enter_nesting()
+        base = self._enter_nesting()
         try:
             pos = self._pos()
             first = self.parse_type_no_isect()
@@ -314,7 +335,7 @@ class Parser:
                 return ast.TIsect(tuple(parts), pos)
             return first
         finally:
-            self._depth -= 1
+            self._depth = base
 
     def parse_type_no_isect(self) -> ast.TypeAST:
         pos = self._pos()
@@ -405,6 +426,9 @@ class Parser:
         return ast.Block(stmts, pos)
 
     def parse_stmt(self) -> ast.Stmt:
+        return self._nested(self._parse_stmt)
+
+    def _parse_stmt(self) -> ast.Stmt:
         pos = self._pos()
         if self.at_punct("{"):
             return self.parse_block()
@@ -486,11 +510,7 @@ class Parser:
     # -- expressions --------------------------------------------------------
 
     def parse_expr(self) -> ast.Expr:
-        self._enter_nesting()
-        try:
-            return self.parse_assign()
-        finally:
-            self._depth -= 1
+        return self._nested(self.parse_assign)
 
     def parse_assign(self) -> ast.Expr:
         pos = self._pos()
@@ -502,7 +522,7 @@ class Parser:
                     "invalid assignment target", tok, code="JNS-PARSE-003"
                 )
             self.next()
-            value = self.parse_assign()
+            value = self._nested(self.parse_assign)
             return ast.Assign(left, value, tok.value, pos)
         return left
 
@@ -512,91 +532,77 @@ class Parser:
         if self.accept_punct("?"):
             then = self.parse_expr()
             self.expect_punct(":")
-            els = self.parse_cond()
+            els = self._nested(self.parse_cond)
             return ast.Cond(cond, then, els, pos)
         return cond
 
+    def _binary_chain(self, operand: Callable[[], ast.Expr], ops) -> ast.Expr:
+        """A left-associative run ``operand (op operand)*``.  Each
+        operator deepens the tree by one level, so a long flat chain
+        counts against the nesting budget like explicit nesting does."""
+        base = self._depth
+        try:
+            left = operand()
+            while True:
+                tok = self.peek()
+                if tok.kind != PUNCT or tok.value not in ops:
+                    return left
+                self._enter_nesting()
+                pos = self._pos()
+                self.next()
+                left = ast.Binary(tok.value, left, operand(), pos)
+        finally:
+            self._depth = base
+
     def parse_or(self) -> ast.Expr:
-        left = self.parse_and()
-        while self.at_punct("||"):
-            pos = self._pos()
-            self.next()
-            right = self.parse_and()
-            left = ast.Binary("||", left, right, pos)
-        return left
+        return self._binary_chain(self.parse_and, ("||",))
 
     def parse_and(self) -> ast.Expr:
-        left = self.parse_equality()
-        while self.at_punct("&&"):
-            pos = self._pos()
-            self.next()
-            right = self.parse_equality()
-            left = ast.Binary("&&", left, right, pos)
-        return left
+        return self._binary_chain(self.parse_equality, ("&&",))
 
     def parse_equality(self) -> ast.Expr:
-        left = self.parse_relational()
-        while self.at_punct("==") or self.at_punct("!="):
-            pos = self._pos()
-            op = self.next().value
-            right = self.parse_relational()
-            left = ast.Binary(op, left, right, pos)
-        return left
+        return self._binary_chain(self.parse_relational, ("==", "!="))
 
     def parse_relational(self) -> ast.Expr:
-        left = self.parse_additive()
-        while True:
-            tok = self.peek()
-            if tok.kind == PUNCT and tok.value in ("<", "<=", ">", ">="):
-                pos = self._pos()
-                self.next()
-                right = self.parse_additive()
-                left = ast.Binary(tok.value, left, right, pos)
-            elif tok.is_keyword("instanceof"):
-                pos = self._pos()
-                self.next()
-                ref_type = self.parse_type()
-                left = ast.InstanceOf(left, ref_type, pos)
-            else:
-                return left
+        base = self._depth
+        try:
+            left = self.parse_additive()
+            while True:
+                tok = self.peek()
+                if tok.kind == PUNCT and tok.value in ("<", "<=", ">", ">="):
+                    self._enter_nesting()
+                    pos = self._pos()
+                    self.next()
+                    right = self.parse_additive()
+                    left = ast.Binary(tok.value, left, right, pos)
+                elif tok.is_keyword("instanceof"):
+                    self._enter_nesting()
+                    pos = self._pos()
+                    self.next()
+                    ref_type = self.parse_type()
+                    left = ast.InstanceOf(left, ref_type, pos)
+                else:
+                    return left
+        finally:
+            self._depth = base
 
     def parse_additive(self) -> ast.Expr:
-        left = self.parse_multiplicative()
-        while self.at_punct("+") or self.at_punct("-"):
-            pos = self._pos()
-            op = self.next().value
-            right = self.parse_multiplicative()
-            left = ast.Binary(op, left, right, pos)
-        return left
+        return self._binary_chain(self.parse_multiplicative, ("+", "-"))
 
     def parse_multiplicative(self) -> ast.Expr:
-        left = self.parse_unary()
-        while self.at_punct("*") or self.at_punct("/") or self.at_punct("%"):
-            pos = self._pos()
-            op = self.next().value
-            right = self.parse_unary()
-            left = ast.Binary(op, left, right, pos)
-        return left
+        return self._binary_chain(self.parse_unary, ("*", "/", "%"))
 
     def parse_unary(self) -> ast.Expr:
-        self._enter_nesting()
-        try:
-            pos = self._pos()
-            if self.at_punct("!"):
-                self.next()
-                return ast.Unary("!", self.parse_unary(), pos)
-            if self.at_punct("-"):
-                self.next()
-                return ast.Unary("-", self.parse_unary(), pos)
-            if self.at_punct("+"):
-                self.next()
-                return self.parse_unary()
-            cast = self.try_parse_cast()
-            if cast is not None:
-                return cast
-            return self.parse_postfix()
-        finally:
-            self._depth -= 1
+        pos = self._pos()
+        if self.at_punct("!") or self.at_punct("-"):
+            op = self.next().value
+            return ast.Unary(op, self._nested(self.parse_unary), pos)
+        if self.accept_punct("+"):
+            return self._nested(self.parse_unary)
+        cast = self.try_parse_cast()
+        if cast is not None:
+            return cast
+        return self.parse_postfix()
 
     def try_parse_cast(self) -> Optional[ast.Expr]:
         """Parse ``(T)e`` or ``(view T)e``, backtracking if the parenthesized
@@ -616,7 +622,7 @@ class Parser:
             self.pos = save
             return None
         if is_view:
-            return ast.ViewChange(cast_type, self.parse_unary(), pos)
+            return ast.ViewChange(cast_type, self._nested(self.parse_unary), pos)
         # Heuristic: (T)e is a cast only if what follows can start an
         # expression, and T is not a bare name followed by an operator
         # (e.g. ``(a) + b`` must stay a parenthesized expression).
@@ -640,37 +646,46 @@ class Parser:
         elif not starts_expr:
             self.pos = save
             return None
-        return ast.Cast(cast_type, self.parse_unary(), pos)
+        return ast.Cast(cast_type, self._nested(self.parse_unary), pos)
 
     def parse_postfix(self) -> ast.Expr:
-        expr = self.parse_primary()
-        while True:
-            pos = self._pos()
-            if self.at_punct(".") and self.peek(1).kind == IDENT:
-                self.next()
-                name = self.expect_ident().value
-                if self.at_punct("("):
-                    args = self.parse_args()
-                    expr = ast.Call(expr, name, args, pos)
-                else:
-                    expr = ast.FieldGet(expr, name, pos)
-                continue
-            if self.at_punct("["):
-                self.next()
-                idx = self.parse_expr()
-                self.expect_punct("]")
-                expr = ast.Index(expr, idx, pos)
-                continue
-            if self.at_punct("++") or self.at_punct("--"):
-                op = self.next().value
-                if not isinstance(expr, (ast.Var, ast.FieldGet, ast.Index)):
-                    raise ParseError(
-                        "invalid increment target", self.peek(), code="JNS-PARSE-003"
-                    )
-                one = ast.Lit(1, "int", pos)
-                expr = ast.Assign(expr, one, "+=" if op == "++" else "-=", pos)
-                continue
-            return expr
+        """A primary and its selectors; each selector deepens the tree
+        by one level (restored once the chain ends)."""
+        base = self._depth
+        try:
+            expr = self.parse_primary()
+            while True:
+                pos = self._pos()
+                if self.at_punct(".") and self.peek(1).kind == IDENT:
+                    self._enter_nesting()
+                    self.next()
+                    name = self.expect_ident().value
+                    if self.at_punct("("):
+                        args = self.parse_args()
+                        expr = ast.Call(expr, name, args, pos)
+                    else:
+                        expr = ast.FieldGet(expr, name, pos)
+                    continue
+                if self.at_punct("["):
+                    self._enter_nesting()
+                    self.next()
+                    idx = self.parse_expr()
+                    self.expect_punct("]")
+                    expr = ast.Index(expr, idx, pos)
+                    continue
+                if self.at_punct("++") or self.at_punct("--"):
+                    self._enter_nesting()
+                    op = self.next().value
+                    if not isinstance(expr, (ast.Var, ast.FieldGet, ast.Index)):
+                        raise ParseError(
+                            "invalid increment target", self.peek(), code="JNS-PARSE-003"
+                        )
+                    one = ast.Lit(1, "int", pos)
+                    expr = ast.Assign(expr, one, "+=" if op == "++" else "-=", pos)
+                    continue
+                return expr
+        finally:
+            self._depth = base
 
     def parse_args(self) -> List[ast.Expr]:
         self.expect_punct("(")

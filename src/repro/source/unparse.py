@@ -123,7 +123,7 @@ def _expr(e: ast.Expr):
     if isinstance(e, ast.FieldGet):
         return f"{expr_to_src(e.obj, _POSTFIX_LEVEL)}.{e.name}", _POSTFIX_LEVEL
     if isinstance(e, ast.Call):
-        args = ", ".join(expr_to_src(a) for a in e.args)
+        args = ", ".join(map(expr_to_src, e.args))
         recv = ""
         if e.obj is not None and not isinstance(e.obj, ast.This):
             recv = expr_to_src(e.obj, _POSTFIX_LEVEL) + "."
@@ -134,10 +134,10 @@ def _expr(e: ast.Expr):
         constants = ("PI", "E", "MAX_INT", "MIN_INT", "MAX_DOUBLE")
         if not e.args and e.name in constants:
             return f"Sys.{e.name}", _POSTFIX_LEVEL
-        args = ", ".join(expr_to_src(a) for a in e.args)
+        args = ", ".join(map(expr_to_src, e.args))
         return f"Sys.{e.name}({args})", _POSTFIX_LEVEL
     if isinstance(e, ast.NewObj):
-        args = ", ".join(expr_to_src(a) for a in e.args)
+        args = ", ".join(map(expr_to_src, e.args))
         return f"new {type_to_src(e.type)}({args})", _POSTFIX_LEVEL
     if isinstance(e, ast.NewArray):
         elem = e.elem_type

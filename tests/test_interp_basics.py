@@ -3,7 +3,7 @@ objects, inheritance, dispatch."""
 
 import pytest
 
-from repro import JnsFailure, JnsRuntimeError, NullDereference, compile_program
+from repro import JnsFailure, JnsRuntimeError, NullDereference, compile_program, obs
 
 from conftest import run_main
 
@@ -403,16 +403,27 @@ class TestDispatchCaching:
         assert dispatch is not None and dispatch.hit_rate > 0.99
 
     def test_compiled_call_sites_go_monomorphic(self):
-        program = compile_program(self.SRC)
-        interp = program.interp(compiled=True)
+        # ``bump`` is overridden, so its site cannot devirtualize and runs
+        # through the emitted code's monomorphic inline cache
+        program = compile_program(
+            self.SRC + "class Doubler extends Counter { void bump() { n = n + 2; } }"
+        )
+        interp = program.interp(backend="codegen")
         ref = interp.new_instance(("Main",), ())
         assert interp.call_method(ref, "main", []) == 200
         site = interp.queries.queries["call_site"]
         before = site.misses
-        assert interp.call_method(ref, "main", []) == 200
+        assert before > 0
+        obs.enable()
+        try:
+            assert interp.call_method(ref, "main", []) == 200
+            hits = obs.TRACER.counters.get("dispatch.codegen_hit", 0)
+        finally:
+            obs.disable()
+            obs.TRACER.reset()
         # second run: every call site has seen its receiver class already
         assert site.misses == before
-        assert site.hits > 0
+        assert hits >= 200
 
     def test_jx_mode_stays_uncached(self):
         program = compile_program(self.SRC)

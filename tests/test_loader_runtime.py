@@ -163,7 +163,7 @@ class TestRuntimeMisc:
         value = interp.new_instance(("AST", "Value"), (1,))
         t = ClassType(("AST", "Exp"))
         assert interp.conforms(value.view, t)
-        assert (value.view.path, t) in interp._conforms_cache
+        assert (value.view.path, t) in interp._q_conforms.table
 
     def test_instance_of_exact_type(self, fig123):
         interp = fig123.interp()

@@ -156,6 +156,7 @@ class TestDeterministicParity:
 
     def test_steps_mask_view_agree_across_all_backends(self):
         snaps = self._snapshots()
+        assert set(snaps) == {"walker", "codegen"}
         base = snaps["walker"]
         for backend, snap in snaps.items():
             for col in ("steps", "mask", "view"):
@@ -178,7 +179,7 @@ class TestDeterministicParity:
 
     def test_dispatch_elision_is_visible(self):
         # dispatch is deliberately NOT invariant: it counts megamorphic
-        # lookups, and the optimizing tiers exist to elide them
+        # lookups, and codegen exists to elide them
         snaps = self._snapshots()
         walker = sum(snaps["walker"]["dispatch"].values())
         codegen = sum(snaps["codegen"]["dispatch"].values())
@@ -220,7 +221,7 @@ class TestSamplingAttribution:
             file=f"jolden:{name}",
             entry="Main.run",
             args=args,
-            det_backend="specialized",
+            det_backend="codegen",
             sample=True,
             interval=0.0005,
             min_samples=40,
@@ -284,7 +285,7 @@ class TestReport:
         program = compile_program(MASKED_LOOP)
         snap, _ = run_deterministic(program, entry="Main.main")
         return merge_reports(
-            MASKED_LOOP, "<test>", snap, None, backend_det="specialized"
+            MASKED_LOOP, "<test>", snap, None, backend_det="codegen"
         )
 
     def test_render_text_has_heat_and_columns(self):
@@ -298,7 +299,7 @@ class TestReport:
 
     def test_to_dict_shape(self):
         d = self._report().to_dict()
-        assert d["backend_det"] == "specialized"
+        assert d["backend_det"] == "codegen"
         assert d["resolution"] == 1.0  # no sampler -> trivially resolved
         assert d["lines"]
         row = d["lines"][0]

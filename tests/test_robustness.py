@@ -14,6 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import JnsError, JnsResourceError, check_source, compile_program
+from repro.lang.incremental import IncrementalChecker
+from repro.source.parser import MAX_NESTING, parse_program
+from repro.source.unparse import unparse
 
 from conftest import FIG123_SOURCE
 
@@ -217,7 +220,7 @@ class TestResourceErrorRecovery:
         caches: objects allocated before the trip stay intact."""
         from repro.programs.corona import CoronaSystem
 
-        system = CoronaSystem(size=8, objects=16, specialized=True, max_steps=10**7)
+        system = CoronaSystem(size=8, objects=16, backend="codegen", max_steps=10**7)
         before = system.run_phase("corona", fetches=30, seed=5)
         interp = system.interp
         interp._steps = interp._max_steps  # inject exhaustion (chaos-style)
@@ -266,3 +269,104 @@ def test_long_inheritance_chain():
     interp = program.interp()
     ref = interp.new_instance(("Main",), ())
     assert interp.call_method(ref, "main", []) == 0
+
+
+# ---------------------------------------------------------------------------
+# the one nesting budget (MAX_NESTING in source/parser.py)
+# ---------------------------------------------------------------------------
+
+
+#: Deep-program shapes, each a family indexed by depth n: (source
+#: generator, entry result as a function of n).  Nested classes,
+#: statements, prefix/infix operator chains, call and selector chains
+#: all count against the same budget.
+DEEP_SHAPES = {
+    "class-nesting": (
+        lambda n: "".join(f"class C{i} {{ " for i in range(n)) + "}" * n
+        + " class Main { int main() { return 1; } }",
+        lambda n: 1,
+    ),
+    "if-blocks": (
+        lambda n: "class Main { int main() { int x = 0;\n"
+        + "if (x == 0) {\n" * n + "x = 1;\n" + "}\n" * n + "return x; } }",
+        lambda n: 1,
+    ),
+    "blocks": (
+        lambda n: "class Main { int main() { int x = 0;\n"
+        + "{\n" * n + "x = 1;\n" + "}\n" * n + "return x; } }",
+        lambda n: 1,
+    ),
+    "while-blocks": (
+        lambda n: "class Main { int main() { int x = 0;\n"
+        + "".join(f"while (x < {i + 1}) {{\n" for i in range(n))
+        + "x = x + 100000;\n" + "}\n" * n + "return 1; } }",
+        lambda n: 1,
+    ),
+    "plus-chain": (
+        lambda n: "class Main { int main() { int x = 1; return "
+        + " + ".join(["x"] * n) + "; } }",
+        lambda n: n,
+    ),
+    "not-chain": (
+        lambda n: "class Main { boolean main() { return "
+        + "!" * n + "true; } }",
+        lambda n: n % 2 == 0,
+    ),
+    "call-nesting": (
+        lambda n: "class Main { int f(int a) { return a; } int main() { return "
+        + "f(" * n + "1" + ")" * n + "; } }",
+        lambda n: 1,
+    ),
+    "field-chain": (
+        lambda n: "class Main { Main m; int v = 1; int main() { m = this; return "
+        + "m." * n + "v; } }",
+        lambda n: 1,
+    ),
+}
+
+
+def _budget_edge(build):
+    """The deepest member of a shape family that still parses."""
+    lo, hi = 1, 2 * MAX_NESTING
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            parse_program(build(mid))
+            lo = mid
+        except JnsError:
+            hi = mid - 1
+    return lo
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_budget_deep_programs_check_and_run(shape):
+    build, result = DEEP_SHAPES[shape]
+    n = _budget_edge(build)
+    src = build(n)
+    assert not check_source(src).diagnostics
+    # the serve check loop and fmt walk the same trees
+    assert not IncrementalChecker(src).check().diagnostics
+    assert unparse(parse_program(src))
+    program = compile_program(src)
+    for backend in ("walker", "codegen"):
+        assert program.interp(backend=backend).run() == result(n), backend
+    # one level deeper is a diagnostic, never a Python exception
+    deeper = build(n + 1)
+    assert "JNS-PARSE-005" in {d.code for d in check_source(deeper).diagnostics}
+    with pytest.raises(JnsError) as exc_info:
+        compile_program(deeper)
+    assert exc_info.value.code == "JNS-PARSE-005"
+
+
+def test_four_hundred_nested_ifs_are_a_diagnostic(tmp_path, capsys):
+    from repro.cli import main
+
+    build, _ = DEEP_SHAPES["if-blocks"]
+    src = build(400)
+    assert "JNS-PARSE-005" in {d.code for d in check_source(src).diagnostics}
+    path = tmp_path / "deep.jns"
+    path.write_text(src)
+    for command in ("check", "run"):
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "JNS-PARSE-005" in captured.out + captured.err

@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+from repro.runtime.interp import BACKENDS
 from repro.serve import CheckService, ServeClient, start_server
 
 SRC = """\
@@ -435,7 +436,7 @@ class TestProfileOp:
     def test_profile_returns_attribution_table(self):
         svc = self._svc()
         resp = svc.handle({"op": "profile", "session": "p"})
-        assert resp["ok"] and resp["backend"] == "specialized"
+        assert resp["ok"] and resp["backend"] == "codegen"
         prof = resp["profile"]
         assert prof["resolution"] == 1.0  # deterministic-only: no samples
         lines = {row["line"]: row for row in prof["lines"]}
@@ -448,7 +449,7 @@ class TestProfileOp:
     def test_profile_on_each_backend(self):
         svc = self._svc()
         tables = {}
-        for backend in ("walker", "compiled", "specialized", "codegen"):
+        for backend in BACKENDS:
             resp = svc.handle(
                 {"op": "profile", "session": "p", "backend": backend}
             )
@@ -458,6 +459,7 @@ class TestProfileOp:
                 for row in resp["profile"]["lines"]
             }
         # steps/mask/view are a backend invariant, through the wire too
+        assert set(tables) == {"walker", "codegen"}
         assert len({repr(sorted(t.items())) for t in tables.values()}) == 1
 
     def test_profile_unknown_backend_is_an_error(self):
@@ -488,7 +490,7 @@ class TestBackendLabeledMetrics:
         svc.handle({"op": "open", "session": "p", "source": PROF_SRC})
         svc.handle({"op": "run", "session": "p", "backend": "codegen"})
         svc.handle({"op": "profile", "session": "p",
-                    "backend": "specialized"})
+                    "backend": "walker"})
         snap = svc.handle({"op": "metrics"})["metrics"]
         counters = {
             (c["labels"]["op"], c["labels"].get("backend")): c["value"]
@@ -496,7 +498,7 @@ class TestBackendLabeledMetrics:
             if c["name"] == "serve_requests_total"
         }
         assert counters[("run", "codegen")] == 1
-        assert counters[("profile", "specialized")] == 1
+        assert counters[("profile", "walker")] == 1
         # non-run ops stay unlabeled (no backend dimension to report)
         assert ("open", None) in counters
         hists = {
@@ -511,7 +513,9 @@ class TestBackendLabeledMetrics:
 
         svc = CheckService()
         svc.handle({"op": "open", "session": "p", "source": PROF_SRC})
-        for backend in ("walker", "compiled", "specialized", "codegen"):
+        # the two backends plus names that are not backends (they answer
+        # an error without a backend label)
+        for backend in BACKENDS + ("compiled", "specialized"):
             svc.handle({"op": "run", "session": "p", "backend": backend})
             svc.handle({"op": "profile", "session": "p",
                         "backend": backend})
@@ -524,5 +528,6 @@ class TestBackendLabeledMetrics:
         ]
         # the label space is ops x outcomes (+ backend on run/profile):
         # structurally far inside the per-family cardinality cap
+        assert {c["labels"].get("backend") for c in series} == {None, *BACKENDS}
         assert len(series) <= MAX_SERIES_PER_FAMILY // 2
         assert MAX_SERIES_PER_FAMILY == 64

@@ -1,12 +1,11 @@
-"""Four-way differential for the AOT specialization pass and the
-codegen tier above it: for randomized programs, the tree-walking
-interpreter, the closure compiler, the specialized backend (slotted
-layouts, register frames, devirtualization), and the codegen backend
-(emitted + ``compile()``d Python per specialized method body) must agree
-on every observable — run result, printed output, and runtime error
-codes — in every mode. Diagnostics come from the static pipeline, which
-neither pass touches, and are asserted stable as a guard against
-accidental coupling.
+"""Walker-vs-codegen differential for the two execution tiers: for
+randomized programs, the tree-walking interpreter (the reference) and
+the codegen backend (AOT specialization — slotted layouts,
+devirtualization — plus emitted + ``compile()``d Python per specialized
+method body) must agree on every observable — run result, printed
+output, and runtime error codes — in all four modes. Diagnostics come
+from the static pipeline, which neither backend touches, and are
+asserted stable as a guard against accidental coupling.
 
 Tier-2: ``HYPOTHESIS_PROFILE=fuzz pytest -m fuzz`` raises the example
 budget; the default profile keeps this cheap enough for tier-1.
@@ -16,6 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro import JnsError, check_source, clear_caches, compile_program
+from repro.runtime.interp import MODES
 
 from conftest import FIG123_SOURCE, FIG5_SOURCE
 
@@ -87,17 +87,9 @@ class Main {{
     return src
 
 
-BACKENDS = (
-    ("walker", {}),
-    ("compiled", {"compiled": True}),
-    ("specialized", {"specialized": True}),
-    ("codegen", {"backend": "codegen"}),
-)
-
-
-def _observe(src, backend_kw):
+def _observe(src, backend):
     """Diagnostics, compile verdict, and run result + output per mode for
-    one backend configuration."""
+    one backend."""
     sink = check_source(src)
     outcomes = {
         "diagnostics": tuple((d.code, d.severity, d.message) for d in sink)
@@ -108,8 +100,8 @@ def _observe(src, backend_kw):
     except JnsError as exc:
         outcomes["check"] = (exc.code, str(exc))
         return outcomes
-    for mode in ("jns", "jx_cl", "java"):
-        interp = program.interp(mode=mode, **backend_kw)
+    for mode in MODES:
+        interp = program.interp(mode=mode, backend=backend)
         try:
             result = interp.run("Main.main")
             outcomes[mode] = (result, tuple(interp.output))
@@ -122,42 +114,36 @@ def _observe(src, backend_kw):
 @given(probe_programs())
 def test_specialization_does_not_change_observables(src):
     clear_caches()
-    observed = {
-        label: _observe(src, kw) for label, kw in BACKENDS
-    }
-    assert observed["walker"] == observed["compiled"]
-    assert observed["walker"] == observed["specialized"]
-    assert observed["walker"] == observed["codegen"]
+    assert _observe(src, "walker") == _observe(src, "codegen")
 
 
 @pytest.mark.fuzz
 @given(probe_programs())
 def test_unspecialized_escape_hatch_restores_baseline(src):
-    """Running specialized first must not poison the program for a later
-    unspecialized run (mirrors `repro run --no-specialize`)."""
+    """Running codegen first must not poison the program for a later
+    walker run (mirrors `repro run --backend walker`)."""
     clear_caches()
     try:
         program = compile_program(src)
     except JnsError:
         return
-    def run(**kw):
-        interp = program.interp(mode="jns", **kw)
+    def run(backend="walker"):
+        interp = program.interp(mode="jns", backend=backend)
         try:
             return interp.run("Main.main"), tuple(interp.output)
         except JnsError as exc:
             return ("error", exc.code)
     baseline = run()
-    specialized = run(specialized=True)
     codegen = run(backend="codegen")
     after = run()
-    assert specialized == baseline
     assert codegen == baseline
     assert after == baseline
 
 
 def test_fixture_corpus_four_way_agreement():
     """Deterministic tier-1 anchor: the paper's figure programs agree
-    across all four backends without relying on hypothesis."""
+    between walker and codegen in all four modes without relying on
+    hypothesis."""
     for src, entry in (
         (FIG123_SOURCE, "Main.evalSample"),
         (FIG123_SOURCE, "Main.showSample"),
@@ -165,8 +151,14 @@ def test_fixture_corpus_four_way_agreement():
          "Main.main"),
     ):
         program = compile_program(src)
-        results = []
-        for _, kw in BACKENDS:
-            interp = program.interp(mode="jns", **kw)
-            results.append((interp.run(entry), tuple(interp.output)))
-        assert results[0] == results[1] == results[2] == results[3]
+        for mode in MODES:
+            results = []
+            for backend in ("walker", "codegen"):
+                interp = program.interp(mode=mode, backend=backend)
+                try:
+                    results.append((interp.run(entry), tuple(interp.output)))
+                except JnsError as exc:
+                    results.append(("error", exc.code))
+            assert results[0] == results[1], mode
+            if mode == "jns":
+                assert results[0][0] != "error"
