@@ -33,10 +33,9 @@ experiments:
 with jitter drawn from the *seeded* RNG, so even the retry schedule of a
 chaos run replays exactly.
 
-When the process-wide tracer (:mod:`repro.obs`) is enabled, the driver
-mirrors every injection into ``chaos.injected`` / ``chaos.injected.<kind>``
-counters; this module itself is observability-free so it can be unit
-tested in isolation.
+The driver counts every injection in its own metrics store
+(``chaos.injected`` / ``chaos.injected.<kind>``); this module itself is
+observability-free so it can be unit tested in isolation.
 """
 
 from __future__ import annotations

@@ -82,15 +82,18 @@ def _begin_tracing(args) -> None:
         obs.TRACER.open_stream(trace_out)
 
 
-def _emit_observability(args, stats) -> None:
-    """Shared tail of ``run``/``check``: the ``--profile`` unified report
-    and ``--trace-out`` Chrome trace go to stderr/file, ``--stats-json``
-    prints the machine-readable cache counters (the same schema as
-    ``report.cache_stats.to_dict()``) to stdout for CI to diff."""
+def _emit_observability(args, stats, metrics=None) -> None:
+    """Shared tail of ``run``/``check``/``corona``: the ``--profile``
+    unified report (with the chaos driver's ``metrics`` store, when
+    given) and ``--trace-out`` Chrome trace go to stderr/file,
+    ``--stats-json`` prints the machine-readable cache counters (the
+    same schema as ``report.cache_stats.to_dict()``) to stdout for CI
+    to diff."""
     if getattr(args, "stats", False) and stats is not None:
         print(stats.format(), file=sys.stderr)
     if getattr(args, "profile", False):
-        print(obs.format_report(cache_stats=stats), file=sys.stderr)
+        print(obs.format_report(cache_stats=stats, metrics=metrics),
+              file=sys.stderr)
     trace_out = getattr(args, "trace_out", None)
     if trace_out:
         if trace_out.endswith(".jsonl"):
@@ -393,8 +396,6 @@ def cmd_corona(args) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: bad fault plan: {exc}", file=sys.stderr)
         return 2
-    if _tracing_requested(args):
-        _begin_tracing(args)
     journal = None
     if args.journal:
         import os
@@ -404,21 +405,23 @@ def cmd_corona(args) -> int:
             if os.path.exists(args.journal)
             else EvolutionJournal(path=args.journal)
         )
+    driver = ChaosCoronaDriver(
+        nodes=args.nodes,
+        shards=args.shards,
+        objects=args.objects,
+        requests=args.requests,
+        seed=args.seed,
+        plan=plan,
+        journal=journal,
+    )
+    if _tracing_requested(args):
+        _begin_tracing(args)
     try:
-        driver = ChaosCoronaDriver(
-            nodes=args.nodes,
-            shards=args.shards,
-            objects=args.objects,
-            requests=args.requests,
-            seed=args.seed,
-            plan=plan,
-            journal=journal,
-        )
         report = driver.run()
     finally:
         if _tracing_requested(args):
             obs.disable()
-        _emit_observability(args, None)
+        _emit_observability(args, None, metrics=driver.metrics)
     if args.json:
         print(report.to_json(include_wall=args.wall))
     else:

@@ -1,31 +1,32 @@
 """Unified tracing, metrics, and profiling for the J&s pipeline and runtime.
 
-One process-wide :class:`Tracer` (the module singleton :data:`TRACER`)
-collects three kinds of observations:
+* :class:`MetricsRegistry` — the one store of counters, gauges, and
+  histograms, keyed by family name plus a bounded label set.  Names
+  may be the tracer's dotted ones (``dispatch.hit``); only the
+  Prometheus exposition sanitises them.  Unlabeled series are also
+  readable by name (``counters`` / ``histograms``).  ``repro serve``
+  keeps one per service, the CorONA chaos driver one per run, and the
+  tracer one (``TRACER.metrics``).
+* :class:`Histogram` — the one histogram type: exact count / total /
+  min / max, p50/p95 from a deterministic sample reservoir, and bucket
+  counts only for families given bounds (serve latency).
+
+The process-wide :class:`Tracer` (:data:`TRACER`) records into
+``TRACER.metrics`` and adds what only a tracer has:
 
 * **Phase spans** — hierarchical wall-clock timings opened with
   ``with TRACER.span("typecheck", unit=name):``.  Every pipeline stage
   (lex → parse → resolve → typecheck → load → compile → run) opens one,
   so a single compile-and-run paints a tree of where time went.  Span
-  durations also feed a per-name histogram (count/total/min/max plus
-  p50/p95 from a deterministic sample reservoir), which is where the
-  report's avg/p50/p95 columns come from.
-* **Semantic events** — typed counters (and ring-buffer instants) for
-  the paper-specific runtime operations: explicit/implicit view changes
+  durations also feed a ``span.<name>`` histogram, which is where the
+  report's p50/p95 columns come from.
+* **Semantic events** — counters (and ring-buffer instants) for the
+  paper-specific runtime operations: explicit/implicit view changes
   and reference-object memo hits (§6.3), dispatch inline-cache hit/miss,
   sharing-group fallback reads (§3.3), masked-field checks (§3), and
   conformance checks.  Giannini et al. (PAPERS.md) make sharing events
-  first-class observations; this is the engineering counterpart.
-
-  The chaos harness (:mod:`repro.programs.corona.driver`) mirrors its
-  fault/recovery bookkeeping here when tracing is enabled: counters
-  ``chaos.injected`` (with ``.crash/.drop/.delay/.fuel`` breakdowns),
-  ``chaos.restart``, ``chaos.recovered``, ``retry.attempt``,
-  ``retry.exhausted``, ``degraded.stale_serve``, and histograms
-  ``evolution.pause_virtual_ms`` (virtual-time pause clients observe
-  per shard transition), ``retry.per_request`` (retry amplification),
-  ``degraded.staleness`` and ``staleness.cache_lag`` (versions behind
-  the acknowledged head).
+  first-class observations; this is the engineering counterpart, and
+  each event is counted once.
 * **Event ring** — a bounded ``deque`` of finished spans and instant
   events, exportable as Chrome-trace JSON (``chrome://tracing`` /
   Perfetto) via :meth:`Tracer.to_chrome_trace`.
@@ -38,37 +39,45 @@ is taken.  ``benchmarks/test_obs_json.py`` measures the guard cost and
 enforces the ≤ 5% disabled-overhead budget on the jolden driver.
 
 The *enabled* path is thread-safe: ``repro serve`` handles sessions on
-concurrent connection threads, so aggregate state (counters, histograms,
-the event ring, the span-path aggregate) is guarded by one lock, while
-the span *stack* is thread-local — each thread paints its own coherent
-span tree, and records carry a small per-thread ``tid`` (assigned in
-first-use order) that the Chrome-trace export emits so concurrent
-sessions land on distinct tracks.  When the bounded ring overwrites an
-old event, the ``events_dropped`` counter bumps (surfaced in the
-``--profile`` report and in Chrome-trace ``otherData``), so silent loss
-is visible.  ``Tracer.to_collapsed()`` folds the span-path aggregate
-into collapsed-stack lines (``a;b;c VALUE``) for speedscope /
+concurrent connection threads, so aggregate state (the registry, the
+event ring, the span-path aggregate) is guarded by one lock — the
+tracer shares its registry's lock, so each recording takes it once —
+while the span *stack* is thread-local: each thread paints its own
+coherent span tree, and records carry a small per-thread ``tid``
+(assigned in first-use order) that the Chrome-trace export emits so
+concurrent sessions land on distinct tracks.  When the bounded ring
+overwrites an old event, the ``events_dropped`` counter bumps (surfaced
+in the ``--profile`` report and in Chrome-trace ``otherData``), so
+silent loss is visible.  ``Tracer.to_collapsed()`` folds the span-path
+aggregate into collapsed-stack lines (``a;b;c VALUE``) for speedscope /
 flamegraph.pl — see ``run/check --flame``.
 
 The unified report (:func:`format_report`) folds a
-:class:`~repro.lang.queries.CacheStats` snapshot into the same output,
-so ``repro run --profile`` and the REPL's ``:profile`` show phase
-timings, semantic events, and query-cache counters side by side.
+:class:`~repro.lang.queries.CacheStats` snapshot and, optionally, a
+driver's own registry (``repro corona --profile``) into the same
+output, so ``repro run --profile`` and the REPL's ``:profile`` show
+phase timings, semantic events, and query-cache counters side by side.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
+from bisect import bisect_left
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Tracer",
     "TRACER",
     "Histogram",
+    "MetricsRegistry",
+    "DEFAULT_BUCKETS",
+    "MAX_SERIES_PER_FAMILY",
     "SpanRecord",
     "InstantRecord",
     "enable",
@@ -116,22 +125,44 @@ _PHASE_ORDER = {
 #: are reproducible.
 HISTOGRAM_SAMPLES = 1024
 
+#: Default latency buckets (seconds) of :meth:`MetricsRegistry.observe` —
+#: tuned for a local check service where ops run 100µs..1s.  ``+Inf`` is
+#: implicit.
+DEFAULT_BUCKETS: Tuple[float, ...] = (
+    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
+    0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
+)
+
+#: Distinct label sets retained per metric family; further series fold
+#: into the ``overflow="true"`` bucket and bump ``dropped_series``.
+MAX_SERIES_PER_FAMILY = 64
+
+_OVERFLOW_KEY: Tuple[Tuple[str, str], ...] = (("overflow", "true"),)
+
 
 class Histogram:
     """Streaming summary of a series of observations: exact count / total
-    / min / max (Python integers do not overflow), plus p50/p95 estimated
-    from a bounded, deterministically decimated sample reservoir."""
+    / min / max (Python integers do not overflow), p50/p95 estimated
+    from a bounded, deterministically decimated sample reservoir, and —
+    only when constructed with ``bounds`` — per-bucket counts for the
+    Prometheus ``_bucket`` lines (:meth:`cumulative`)."""
 
-    __slots__ = ("name", "count", "total", "min", "max", "_samples", "_stride")
+    __slots__ = (
+        "name", "bounds", "count", "total", "min", "max",
+        "_samples", "_stride", "_buckets",
+    )
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str = "", bounds: Sequence[float] = ()) -> None:
         self.name = name
+        self.bounds = tuple(bounds)
         self.count = 0
         self.total = 0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
         self._samples: List[float] = []
         self._stride = 1
+        #: observations whose first bound >= value is bounds[i]
+        self._buckets = [0] * len(self.bounds)
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -148,6 +179,10 @@ class Histogram:
             if len(self._samples) >= HISTOGRAM_SAMPLES:
                 self._samples = self._samples[::2]
                 self._stride *= 2
+        if self.bounds:
+            i = bisect_left(self.bounds, value)
+            if i < len(self._buckets):
+                self._buckets[i] += 1
 
     @property
     def mean(self) -> float:
@@ -170,6 +205,17 @@ class Histogram:
     def p95(self) -> Optional[float]:
         return self.percentile(95)
 
+    def cumulative(self) -> List[List[Any]]:
+        """``[[le, cumulative_count], ...]`` over the bounds, ending with
+        ``["+Inf", count]`` (just that for a histogram without bounds)."""
+        out: List[List[Any]] = []
+        running = 0
+        for bound, n in zip(self.bounds, self._buckets):
+            running += n
+            out.append([bound, running])
+        out.append(["+Inf", self.count])
+        return out
+
     def to_dict(self) -> Dict[str, Any]:
         return {
             "count": self.count,
@@ -180,6 +226,214 @@ class Histogram:
             "p50": self.p50,
             "p95": self.p95,
         }
+
+
+class _Family:
+    __slots__ = ("name", "kind", "help", "bounds", "series")
+
+    def __init__(
+        self, name: str, kind: str, help_: str, bounds: Sequence[float]
+    ) -> None:
+        self.name = name
+        self.kind = kind
+        self.help = help_
+        self.bounds = tuple(bounds)
+        #: label-items tuple (``()`` when unlabeled) -> number or Histogram
+        self.series: Dict[Tuple[Tuple[str, str], ...], Any] = {}
+
+
+class _ByName(Mapping):
+    """Read-only name -> value (or :class:`Histogram`) view of one kind's
+    unlabeled series — ``Tracer.counters``, ``Tracer.histograms``, and
+    what ``ChaosReport`` copies."""
+
+    __slots__ = ("_families", "_kind")
+
+    def __init__(self, families: Dict[str, _Family], kind: str) -> None:
+        self._families = families
+        self._kind = kind
+
+    def __getitem__(self, name: str) -> Any:
+        fam = self._families.get(name)
+        if fam is None or fam.kind != self._kind or () not in fam.series:
+            raise KeyError(name)
+        return fam.series[()]
+
+    def __iter__(self) -> Iterator[str]:
+        kind = self._kind
+        return iter([
+            name for name, fam in list(self._families.items())
+            if fam.kind == kind and () in fam.series
+        ])
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
+class MetricsRegistry:
+    """Labeled counters, gauges, and histograms with bounded cardinality.
+
+    Thread-safe (one lock; every mutation is a handful of dict ops) and
+    cumulative: scrapes read a consistent :meth:`snapshot` or
+    :meth:`exposition` without resetting anything, so any number of
+    scrapers can watch one registry (delta computation is the reader's
+    job — see :func:`repro.telemetry.diff_snapshots`).  Histogram
+    families get bucket bounds from their first ``observe`` call."""
+
+    def __init__(self, max_series: int = MAX_SERIES_PER_FAMILY) -> None:
+        self.max_series = max_series
+        self.dropped_series = 0
+        self._families: Dict[str, _Family] = {}
+        self._lock = threading.Lock()
+        self.counters = _ByName(self._families, "counter")
+        self.histograms = _ByName(self._families, "histogram")
+
+    # -- internals (caller holds _lock) ---------------------------------
+
+    def _slot(
+        self, name: str, kind: str, help_: str,
+        labels: Optional[Dict[str, Any]], bounds: Sequence[float] = (),
+    ) -> Tuple[_Family, Tuple[Tuple[str, str], ...]]:
+        fam = self._families.get(name)
+        if fam is None:
+            fam = self._families[name] = _Family(name, kind, help_, bounds)
+        elif fam.kind != kind:
+            raise ValueError(
+                f"metric {name!r} already registered as {fam.kind}, not {kind}"
+            )
+        key = tuple(sorted((k, str(v)) for k, v in labels.items())) if labels else ()
+        if key not in fam.series and len(fam.series) >= self.max_series:
+            self.dropped_series += 1
+            key = _OVERFLOW_KEY
+        return fam, key
+
+    def _inc_locked(
+        self, name: str, value: float, help_: str = "",
+        labels: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        fam, key = self._slot(name, "counter", help_, labels)
+        fam.series[key] = fam.series.get(key, 0) + value
+
+    def _observe_locked(
+        self, name: str, value: float, bounds: Sequence[float] = (),
+        help_: str = "", labels: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        fam, key = self._slot(name, "histogram", help_, labels, bounds)
+        hist = fam.series.get(key)
+        if hist is None:
+            hist = fam.series[key] = Histogram(name, fam.bounds)
+        hist.observe(value)
+
+    # -- writers --------------------------------------------------------
+
+    def inc(self, name: str, value: float = 1, help: str = "", **labels: Any) -> None:
+        """Add ``value`` to the counter series ``name{labels}``."""
+        with self._lock:
+            self._inc_locked(name, value, help, labels)
+
+    def set_gauge(self, name: str, value: float, help: str = "", **labels: Any) -> None:
+        """Set the gauge series ``name{labels}`` to ``value``."""
+        with self._lock:
+            fam, key = self._slot(name, "gauge", help, labels)
+            fam.series[key] = value
+
+    def observe(
+        self,
+        name: str,
+        value: float,
+        buckets: Sequence[float] = DEFAULT_BUCKETS,
+        help: str = "",
+        **labels: Any,
+    ) -> None:
+        """Record ``value`` into the histogram series ``name{labels}``;
+        ``buckets=()`` keeps no bucket counts (reservoir percentiles
+        only)."""
+        with self._lock:
+            self._observe_locked(name, value, buckets, help, labels)
+
+    def reset(self) -> None:
+        with self._lock:
+            self._families.clear()
+            self.dropped_series = 0
+
+    # -- readers --------------------------------------------------------
+
+    def snapshot(self) -> Dict[str, Any]:
+        """A JSON-able, cumulative view of every series.  Shape::
+
+            {"counters":   [{"name", "labels", "value"}, ...],
+             "gauges":     [ ... same ... ],
+             "histograms": [{"name", "labels", "count", "sum",
+                             "buckets": [[le, cum], ..., ["+Inf", n]]}],
+             "dropped_series": int}
+        """
+        out: Dict[str, Any] = {"counters": [], "gauges": [], "histograms": []}
+        with self._lock:
+            for fam in sorted(self._families.values(), key=lambda f: f.name):
+                for key in sorted(fam.series):
+                    row: Dict[str, Any] = {"name": fam.name, "labels": dict(key)}
+                    value = fam.series[key]
+                    if fam.kind == "histogram":
+                        row.update(count=value.count, sum=value.total,
+                                   buckets=value.cumulative())
+                    else:
+                        row["value"] = value
+                    out[fam.kind + "s"].append(row)
+            out["dropped_series"] = self.dropped_series
+        return out
+
+    def exposition(self) -> str:
+        """Prometheus text format 0.0.4 (``# HELP`` / ``# TYPE`` headers,
+        ``_bucket``/``_sum``/``_count`` histogram triplets, trailing
+        newline).  Characters a Prometheus name cannot hold (the dots of
+        tracer names) render as ``_``."""
+        lines: List[str] = []
+        with self._lock:
+            for fam in sorted(self._families.values(), key=lambda f: f.name):
+                name = _prom_name(fam.name)
+                if fam.help:
+                    lines.append(f"# HELP {name} {fam.help}")
+                lines.append(f"# TYPE {name} {fam.kind}")
+                for key in sorted(fam.series):
+                    value = fam.series[key]
+                    if fam.kind != "histogram":
+                        lines.append(f"{name}{_fmt_labels(key)} {_fmt_value(value)}")
+                        continue
+                    for le, cum in value.cumulative():
+                        le_txt = le if le == "+Inf" else _fmt_value(le)
+                        lines.append(
+                            f"{name}_bucket{_fmt_labels(key + (('le', le_txt),))} {cum}"
+                        )
+                    lines.append(f"{name}_sum{_fmt_labels(key)} {_fmt_value(value.total)}")
+                    lines.append(f"{name}_count{_fmt_labels(key)} {value.count}")
+            lines.append("# TYPE repro_metrics_dropped_series counter")
+            lines.append(f"repro_metrics_dropped_series {self.dropped_series}")
+        return "\n".join(lines) + "\n"
+
+
+_PROM_INVALID = re.compile(r"[^a-zA-Z0-9_:]")
+
+
+def _prom_name(name: str) -> str:
+    name = _PROM_INVALID.sub("_", name)
+    return name if name[:1].isalpha() or name[:1] in "_:" else "_" + name
+
+
+def _fmt_value(v: float) -> str:
+    if isinstance(v, float) and v.is_integer():
+        return str(int(v))
+    return repr(v) if isinstance(v, float) else str(v)
+
+
+def _escape_label(value: str) -> str:
+    return value.replace("\\", r"\\").replace('"', r"\"").replace("\n", r"\n")
+
+
+def _fmt_labels(items: Tuple[Tuple[str, str], ...]) -> str:
+    if not items:
+        return ""
+    body = ",".join(f'{k}="{_escape_label(v)}"' for k, v in items)
+    return "{" + body + "}"
 
 
 @dataclass(frozen=True)
@@ -271,7 +525,7 @@ class _Span:
                             values.append(v)
                         else:
                             entry[1] += 1
-            tracer._histogram_locked("span." + self.name).observe(dur_ns)
+            tracer.metrics._observe_locked("span." + self.name, dur_ns)
             if tracer.enabled:  # disabled mid-span: drop the ring record
                 rec = SpanRecord(
                     self.name,
@@ -297,26 +551,23 @@ class Tracer:
     def __init__(self, ring_capacity: int = DEFAULT_RING_CAPACITY) -> None:
         self.enabled = False
         self.events: Deque[Any] = deque(maxlen=ring_capacity)
-        self.counters: Dict[str, int] = {}
-        self.histograms: Dict[str, Histogram] = {}
+        #: the tracer's counters and ``span.<name>`` histograms; read by
+        #: name through ``counters`` / ``histograms``
+        self.metrics = MetricsRegistry()
+        self.counters = self.metrics.counters
+        self.histograms = self.metrics.histograms
         #: total observations recorded while enabled (spans + instants +
         #: counter increments) — the disabled-overhead benchmark uses it
         #: as the count of guarded sites a workload actually traverses.
         self.observations = 0
-        #: keep 1-in-N instant events in the ring/stream (counters and
-        #: spans are unaffected); set via ``enable(sample_rate=N)``.
-        self.sample_rate = 1
-        self._instant_seq = 0
         #: optional JSONL sink (``open_stream``): every finished span and
-        #: every kept instant is written as one Chrome-trace event object
-        #: per line, independent of the bounded ring.
+        #: every instant is written as one Chrome-trace event object per
+        #: line, independent of the bounded ring.
         self._stream = None
-        #: ring overwrites since the last reset (old events silently
-        #: falling off the front are production data loss — count it).
-        self.events_dropped = 0
-        #: guards counters/histograms/ring/span-aggregate on the
-        #: *enabled* path; the disabled path never touches it.
-        self._lock = threading.Lock()
+        #: the registry's lock, which also guards the ring and the
+        #: span-path aggregate on the *enabled* path (one acquisition
+        #: per recording); the disabled path never touches it.
+        self._lock = self.metrics._lock
         #: per-thread span stacks + small tids (see ``_stack``).
         self._tls = threading.local()
         self._tid_by_thread: Dict[int, int] = {}
@@ -350,15 +601,18 @@ class Tracer:
             self._tls.tid = tid
         return tid
 
+    @property
+    def events_dropped(self) -> int:
+        """Ring overwrites since the last reset (old events silently
+        falling off the front are production data loss — count it)."""
+        return self.counters.get("events_dropped", 0)
+
     def _append_locked(self, rec: Any) -> None:
         """Append one record to the ring (and stream), counting the
         overwrite when the ring is full.  Caller holds ``_lock``."""
         events = self.events
         if events.maxlen is not None and len(events) == events.maxlen:
-            self.events_dropped += 1
-            self.counters["events_dropped"] = (
-                self.counters.get("events_dropped", 0) + 1
-            )
+            self.metrics._inc_locked("events_dropped", 1)
         events.append(rec)
         if self._stream is not None:
             self._stream_write(rec)
@@ -367,17 +621,11 @@ class Tracer:
     # lifecycle
     # ------------------------------------------------------------------
 
-    def enable(self, reset: bool = True, sample_rate: int = 1) -> None:
-        """Turn on collection.  ``sample_rate=N`` keeps one in every N
-        instant events in the ring (and JSONL stream); counters,
-        histograms, and spans are never sampled, so aggregates stay exact
-        while high-volume instants stop churning the ring."""
-        if sample_rate < 1:
-            raise ValueError(f"sample_rate must be >= 1, got {sample_rate}")
+    def enable(self, reset: bool = True) -> None:
+        """Turn on collection (clearing old data unless ``reset=False``)."""
         if reset:
             self.reset()
         self.enabled = True
-        self.sample_rate = sample_rate
         self._epoch_ns = time.perf_counter_ns()
         self._enabled_at_ns = self._epoch_ns
 
@@ -387,13 +635,10 @@ class Tracer:
     def reset(self) -> None:
         """Drop all collected data (ring, counters, histograms, stack).
         Per-thread tids survive — they are identities, not data."""
+        self.metrics.reset()
         with self._lock:
             self.events.clear()
-            self.counters.clear()
-            self.histograms.clear()
             self.observations = 0
-            self.events_dropped = 0
-            self._instant_seq = 0
             self._stack.clear()
             self._span_agg.clear()
             self._epoch_ns = time.perf_counter_ns()
@@ -404,7 +649,7 @@ class Tracer:
 
     def open_stream(self, path: str) -> None:
         """Stream events to ``path`` as JSON Lines: every finished span
-        and every kept instant is appended as one Chrome-trace event
+        and every instant is appended as one Chrome-trace event
         object per line as it happens, so long-running workloads are not
         limited by the bounded in-memory ring."""
         self.close_stream()
@@ -439,15 +684,10 @@ class Tracer:
         """Record an instant semantic event into the ring (and bump the
         same-named counter).  Callers on hot paths must guard with
         ``if TRACER.enabled:`` — this method assumes it is only reached
-        while enabled.  Under ``enable(sample_rate=N)`` only one in N
-        instants lands in the ring/stream; the counter always bumps."""
+        while enabled."""
         with self._lock:
             self.observations += 1
-            self.counters[name] = self.counters.get(name, 0) + 1
-            seq = self._instant_seq
-            self._instant_seq = seq + 1
-            if self.sample_rate > 1 and seq % self.sample_rate:
-                return
+            self.metrics._inc_locked(name, 1)
             rec = InstantRecord(
                 name,
                 time.perf_counter_ns() - self._epoch_ns,
@@ -461,23 +701,13 @@ class Tracer:
         integers are unbounded, so counters accumulate without overflow."""
         with self._lock:
             self.observations += 1
-            self.counters[name] = self.counters.get(name, 0) + n
-
-    def _histogram_locked(self, name: str) -> Histogram:
-        h = self.histograms.get(name)
-        if h is None:
-            h = self.histograms[name] = Histogram(name)
-        return h
-
-    def histogram(self, name: str) -> Histogram:
-        with self._lock:
-            return self._histogram_locked(name)
+            self.metrics._inc_locked(name, n)
 
     def observe(self, name: str, value: float) -> None:
         """Record one observation into a named histogram."""
         with self._lock:
             self.observations += 1
-            self._histogram_locked(name).observe(value)
+            self.metrics._observe_locked(name, value)
 
     # ------------------------------------------------------------------
     # exporters
@@ -657,14 +887,26 @@ class Tracer:
 
     def format_events(self) -> str:
         """Semantic event counters (everything that isn't a span)."""
-        items = sorted(self.counters.items())
-        if not items:
-            return "semantic events: (none recorded)"
-        lines = ["semantic events:"]
-        width = max(len(name) for name, _ in items)
-        for name, value in items:
-            lines.append("  {:<{w}}  {:>10}".format(name, value, w=width))
-        return "\n".join(lines)
+        return _format_table("semantic events", self.counters, {})
+
+
+def _format_table(
+    title: str, counters: Mapping, histograms: Mapping
+) -> str:
+    """One report section: a row per counter, then a row per histogram
+    (count and reservoir p50/p95)."""
+    rows = [(name, str(value)) for name, value in sorted(counters.items())]
+    rows += [
+        (name, f"count {h.count}  p50 {h.p50:g}  p95 {h.p95:g}")
+        for name, h in sorted(histograms.items())
+    ]
+    if not rows:
+        return f"{title}: (none recorded)"
+    width = max(len(name) for name, _ in rows)
+    lines = [f"{title}:"]
+    for name, value in rows:
+        lines.append("  {:<{w}}  {:>10}".format(name, value, w=width))
+    return "\n".join(lines)
 
 
 def _trace_event(rec: Any) -> Dict[str, Any]:
@@ -726,11 +968,9 @@ def enabled() -> bool:
     return TRACER.enabled
 
 
-def enable(reset: bool = True, sample_rate: int = 1) -> None:
-    """Turn on the process-wide tracer (clearing old data by default).
-    ``sample_rate=N`` keeps 1-in-N instant events in the ring/stream;
-    spans and counters are never sampled."""
-    TRACER.enable(reset=reset, sample_rate=sample_rate)
+def enable(reset: bool = True) -> None:
+    """Turn on the process-wide tracer (clearing old data by default)."""
+    TRACER.enable(reset=reset)
 
 
 def disable() -> None:
@@ -738,14 +978,21 @@ def disable() -> None:
 
 
 def format_report(
-    tracer: Optional[Tracer] = None, cache_stats: Optional[Any] = None
+    tracer: Optional[Tracer] = None,
+    cache_stats: Optional[Any] = None,
+    metrics: Optional[MetricsRegistry] = None,
 ) -> str:
     """The unified observability report: phase timings + semantic events
-    (+ a :class:`~repro.lang.queries.CacheStats` section when provided).
-    Shared by ``repro run --profile``, ``repro check --profile``, and the
-    REPL's ``:profile`` / ``:stats`` meta-commands."""
+    (+ a :class:`~repro.lang.queries.CacheStats` section, and a section
+    for a driver's own registry — ``repro corona``'s — when provided).
+    Shared by ``repro run/check/corona --profile`` and the REPL's
+    ``:profile`` / ``:stats`` meta-commands."""
     tracer = TRACER if tracer is None else tracer
     parts = [tracer.format_phases(), tracer.format_events()]
+    if metrics is not None:
+        parts.append(
+            _format_table("driver metrics", metrics.counters, metrics.histograms)
+        )
     if cache_stats is not None:
         parts.append(cache_stats.format())
     return "\n\n".join(parts)

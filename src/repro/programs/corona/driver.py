@@ -22,7 +22,9 @@ Fault model (all drawn from the seeded :class:`FaultPlan`):
 Clients retry with capped exponential backoff (seeded jitter).  When a
 fetch exhausts its retries and the driver has a cached copy, it degrades
 to a *stale serve* (counted, with a staleness histogram) instead of
-failing.
+failing.  Every request ends in exactly one of the counters
+``fetch.ok``, ``publish.ok``, ``publish.superseded``,
+``degraded.stale_serve``, or ``requests.failed``.
 
 Evolution is a two-phase, crash-recoverable protocol: a ``prepare``
 journal record precedes the per-shard view change, ``done`` follows it;
@@ -51,16 +53,23 @@ Reports are byte-identical across runs with the same seed and plan:
 and counter state, and every random decision comes from per-request
 forks of the master :class:`Rng`.
 
-Telemetry (PR 8): every request carries a deterministic
+Telemetry: the driver records each event once, into its own
+:class:`~repro.obs.MetricsRegistry` (``driver.metrics``): counters
+``chaos.injected`` (with ``.crash/.drop/.delay/.fuel`` breakdowns),
+``chaos.restart``, ``chaos.recovered``, ``retry.attempt``,
+``retry.exhausted``, the per-outcome counters above, and histograms
+``evolution.pause_virtual_ms`` (virtual-time pause clients observe per
+shard transition), ``retry.per_request`` (retry amplification),
+``degraded.staleness`` and ``staleness.cache_lag`` (versions behind the
+acknowledged head).  ``ChaosReport`` copies that store, and ``repro
+corona --profile`` prints it.  Every request carries a deterministic
 :class:`~repro.telemetry.TraceContext` drawn from the ``trace{rid}``
 fork of the master RNG — replays with the same seed regenerate the same
 128-bit trace-id sequence, digested into ``ChaosReport.trace_digest``
-(part of the replay surface).  Each attempt's shard-side work runs
-under a ``corona.request`` span tagged ``{op, shard, request,
-trace_id}`` when tracing is enabled, and an always-on labeled
-:class:`~repro.telemetry.MetricsRegistry` (``driver.metrics``) counts
-requests by op/outcome and faults by kind — the exposition surface the
-multiprocess rung will aggregate across workers.
+(part of the replay surface).  When tracing is enabled the driver opens
+``corona.boot/evolve/restart`` spans, and each attempt's shard-side
+work runs under a ``corona.request`` span tagged ``{op, shard,
+request, trace_id}``.
 """
 
 from __future__ import annotations
@@ -73,8 +82,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ...chaos import FaultPlan, RetryPolicy, Rng, SimEvent, SimLoop
 from ...errors import JnsResourceError
-from ...obs import TRACER, Histogram
-from ...telemetry import MetricsRegistry, TraceContext
+from ...obs import TRACER, Histogram, MetricsRegistry
+from ...telemetry import TraceContext
 from .system import FAMILIES, CoronaSystem
 
 #: The evolution schedule: each entry is one two-phase transition.
@@ -286,10 +295,8 @@ class ChaosCoronaDriver:
 
         self._rng = Rng(seed)
         self._hot = min(3, objects)
-        self.counters: Dict[str, int] = {}
-        self._hists: Dict[str, Histogram] = {}
-        #: always-on labeled metrics (op/outcome request counts, fault
-        #: kinds) — the exposition surface for multiprocess aggregation.
+        #: every counter and histogram of the run (see the module
+        #: docstring); the report reads it
         self.metrics = MetricsRegistry()
         #: per-request trace ids in rid order (hex), digested into the
         #: replay surface; identical across same-seed replays.
@@ -310,27 +317,16 @@ class ChaosCoronaDriver:
 
     # ---- bookkeeping -----------------------------------------------------
 
-    def _count(self, name: str, n: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + n
-        if TRACER.enabled:
-            TRACER.count(name, n)
-
     def _observe(self, name: str, value: float) -> None:
-        h = self._hists.get(name)
-        if h is None:
-            h = self._hists[name] = Histogram(name)
-        h.observe(value)
-        if TRACER.enabled:
-            TRACER.observe(name, value)
+        # no bucket bounds: the report reads the reservoir p50/p95
+        self.metrics.observe(name, value, buckets=())
 
     def _fault(self, kind: str) -> None:
-        self._count("chaos.injected")
-        self._count(f"chaos.injected.{kind}")
-        self.metrics.inc("corona_faults_total", kind=kind,
-                         help="injected faults by kind")
+        self.metrics.inc("chaos.injected")
+        self.metrics.inc(f"chaos.injected.{kind}")
 
     def _violation(self, rid: int, key: int, reason: str, **detail: Any) -> None:
-        self._count("oracle.violation")
+        self.metrics.inc("oracle.violation")
         self.oracle_violations.append(
             {"rid": rid, "key": key, "reason": reason, **detail}
         )
@@ -376,7 +372,7 @@ class ChaosCoronaDriver:
             if FAMILIES.index(target) > FAMILIES.index(shard.family):
                 shard.system.evolve(target, threshold=self.bee_threshold)
                 shard.family = target
-            self._count("chaos.recovered")
+            self.metrics.inc("chaos.recovered")
             self.journal.record(
                 shard=shard.index,
                 transition=transition,
@@ -396,7 +392,7 @@ class ChaosCoronaDriver:
                 if self.owner_of(key) == shard.index:
                     self._publish_to_shard(shard, key, self.version_acked[key])
             self._recover_journal(shard)
-        self._count("chaos.restart")
+        self.metrics.inc("chaos.restart")
 
     # ---- traffic ---------------------------------------------------------
 
@@ -457,17 +453,13 @@ class ChaosCoronaDriver:
             )
             if outcome == "ok":
                 self._completed += 1
-                self.metrics.inc("corona_requests_total", op=op, outcome="ok",
-                                 help="corona requests by op and outcome")
                 if attempts:
                     self._observe("retry.per_request", attempts)
                 return
             attempts += 1
-            self._count("retry.attempt")
-            self.metrics.inc("corona_retries_total", op=op,
-                             help="retries by op")
+            self.metrics.inc("retry.attempt")
             if attempts >= self.retry.max_attempts:
-                self._count("retry.exhausted")
+                self.metrics.inc("retry.exhausted")
                 self._degrade(rid, op, key, outcome)
                 return
             await self.loop.sleep(self.retry.backoff_ms(attempts - 1, rng))
@@ -529,11 +521,11 @@ class ChaosCoronaDriver:
                 # A newer publish for this key already landed while we
                 # were retrying: applying ours would regress the store.
                 if self.version_acked.get(key, 0) >= version:
-                    self._count("publish.superseded")
+                    self.metrics.inc("publish.superseded")
                     return "ok"
                 self._publish_to_shard(shard, key, version)
                 self.version_acked[key] = version
-                self._count("publish.ok")
+                self.metrics.inc("publish.ok")
             else:
                 start = rng.randrange(shard.size)
                 content = shard.system.fetch(start, self.local_key(key), shard.family)
@@ -542,7 +534,7 @@ class ChaosCoronaDriver:
                     parsed = parse_feed(content)
                     if parsed:
                         self._stale[key] = (parsed[1], content)
-                self._count("fetch.ok")
+                self.metrics.inc("fetch.ok")
             return "ok"
         except JnsResourceError:
             shard.recover_fuel()
@@ -582,19 +574,14 @@ class ChaosCoronaDriver:
     def _degrade(self, rid: int, op: str, key: int, last_outcome: str) -> None:
         if op == "fetch" and key in self._stale:
             stale_version, _content = self._stale[key]
-            self._count("degraded.stale_serve")
-            self.metrics.inc("corona_requests_total", op=op,
-                             outcome="degraded",
-                             help="corona requests by op and outcome")
+            self.metrics.inc("degraded.stale_serve")
             self._observe(
                 "degraded.staleness",
                 max(0, self.version_acked.get(key, 0) - stale_version),
             )
             self._completed += 1
             return
-        self._count("requests.failed")
-        self.metrics.inc("corona_requests_total", op=op, outcome="failed",
-                         help="corona requests by op and outcome")
+        self.metrics.inc("requests.failed")
         self.failures.append(
             {"rid": rid, "op": op, "key": key, "last_outcome": last_outcome}
         )
@@ -624,7 +611,7 @@ class ChaosCoronaDriver:
         if shard.down:
             # Crash raced the transition: leave it pending; the restart
             # path completes it from the journal (phase two).
-            self._count("evolution.deferred")
+            self.metrics.inc("evolution.deferred")
             return
         shard.gate.clear()
         t0_virtual = self.loop.now
@@ -637,7 +624,7 @@ class ChaosCoronaDriver:
         shard.family = to
         shard.gate.set()
         self._observe("evolution.pause_virtual_ms", self.loop.now - t0_virtual)
-        self._count("evolution.applied")
+        self.metrics.inc("evolution.applied")
         self.journal.record(
             shard=shard.index,
             transition=f"{frm}->{to}",
@@ -720,8 +707,8 @@ class ChaosCoronaDriver:
                 "pause_ms_per_node": self.pause_ms_per_node,
                 "bee_threshold": self.bee_threshold,
             },
-            counters=dict(self.counters),
-            histograms={k: h.to_dict() for k, h in self._hists.items()},
+            counters=dict(self.metrics.counters),
+            histograms={k: h.to_dict() for k, h in self.metrics.histograms.items()},
             shards=shards,
             journal=list(self.journal.entries),
             oracle_violations=self.oracle_violations,

@@ -59,21 +59,19 @@ provenance capture never wipes the session's warm incremental state.
 Observability (request-scoped — see :mod:`repro.telemetry`): every
 request gets a deterministic :class:`~repro.telemetry.TraceContext`
 (drawn from a seeded ``Rng``, or adopted from an inbound ``traceparent``
-field) whose W3C-style rendering is echoed as ``trace`` in the response;
-when tracing is enabled each request runs under a ``serve.request`` span
-tagged with the op / session / trace ids, the ``serve.request.{ok,error}``
-counters bump, and per-op latencies land in ``serve.latency.<op>``
-histograms.  Independently of the tracer, a labeled
-:class:`~repro.telemetry.MetricsRegistry` is always on: per-op
-request counters and latency histograms (``run`` and ``profile``
-requests are additionally labeled with the resolved ``backend=``, so
-per-backend rates and latencies stay separable), session gauges, and
-per-session
-query-cache gauges (hits / misses / green revalidations) refreshed after
-every ``check``.  The ``metrics`` op returns the cumulative snapshot
-(scrapes never reset state), and ``repro serve --metrics-port`` exposes
-the same registry in Prometheus text format over HTTP for scrapers and
-``repro top``.
+field) whose W3C-style rendering is echoed as ``trace`` in the response.
+Each request is recorded once, in the service's always-on
+:class:`~repro.obs.MetricsRegistry`: ``serve_requests_total`` and the
+``serve_request_seconds`` latency histogram, labeled by op and outcome
+(``run`` and ``profile`` requests also by the resolved ``backend=``, so
+per-backend rates and latencies stay separable).  The registry also
+holds session gauges and per-session query-cache gauges (hits / misses
+/ green revalidations) refreshed after every ``check``.  When tracing is
+enabled each request additionally runs under a ``serve.request`` span
+tagged with the op / session / trace ids.  The ``metrics`` op returns
+the cumulative snapshot (scrapes never reset state), and ``repro serve
+--metrics-port`` exposes the same registry in Prometheus text format
+over HTTP for scrapers and ``repro top``.
 """
 
 from __future__ import annotations
@@ -89,8 +87,8 @@ from typing import Any, Dict, Optional
 
 from .chaos import Rng
 from .lang.incremental import IncrementalChecker
-from .obs import TRACER
-from .telemetry import MetricsRegistry, TraceContext
+from .obs import TRACER, MetricsRegistry
+from .telemetry import TraceContext
 
 
 class _Session:
@@ -186,7 +184,7 @@ class CheckService:
         mode becomes an error *response* (the connection survives).
 
         Every request gets a trace context (echoed as ``trace`` in the
-        response), a per-op latency observation, and an outcome counter;
+        response) and one count and latency observation in the registry;
         when tracing is enabled the dispatch runs under a
         ``serve.request`` span carrying the trace identity."""
         self.requests += 1
@@ -239,10 +237,6 @@ class CheckService:
                          help="serve requests by op and outcome", **labels)
         self.metrics.observe("serve_request_seconds", elapsed,
                              help="serve request latency by op", **labels)
-        if TRACER.enabled:
-            TRACER.count("serve.request")
-            TRACER.count(f"serve.request.{outcome}")
-            TRACER.observe(f"serve.latency.{opname}", elapsed * 1000.0)
         resp["trace"] = ctx.traceparent
         if rid is not None:
             resp["id"] = rid

@@ -1,8 +1,9 @@
-"""Request-scoped telemetry: trace contexts, labeled metrics, OTLP export.
+"""Request-scoped telemetry: trace contexts, snapshot windows, exposition
+checks, OTLP export, and the ``repro top`` console.
 
-:mod:`repro.obs` is a process-global tracer — great for one pipeline run,
-blind to *which request* a span or counter belongs to.  This module adds
-the request-scoped layer on top of it:
+The counters, gauges, and histograms themselves live in one store type,
+:class:`repro.obs.MetricsRegistry`; this module adds the request-scoped
+layer around it:
 
 * :class:`TraceContext` — a W3C-trace-context-shaped identity (128-bit
   trace id + 64-bit span id + optional parent).  Contexts are derived
@@ -11,18 +12,13 @@ the request-scoped layer on top of it:
   same seed produce byte-identical trace-id sequences, and the check
   service hands every JSONL request a ``traceparent`` that clients can
   also supply inbound (:meth:`TraceContext.parse`).
-* :class:`MetricsRegistry` — labeled counters / gauges / histograms with
-  **bounded label cardinality** (beyond :data:`MAX_SERIES_PER_FAMILY`
-  distinct label sets per family, further series collapse into an
-  ``overflow="true"`` bucket — misbehaving label values can never grow
-  memory without bound).  Snapshots are JSON-able and cumulative
-  (scrapes never reset state); :func:`diff_snapshots` subtracts two
-  snapshots for rate/p50/p95 windows, which is how ``repro top``
-  computes per-interval views.  :meth:`MetricsRegistry.exposition`
-  renders Prometheus text format 0.0.4, served by the ``metrics`` op and
-  ``repro serve --metrics-port``.  :func:`validate_exposition` is the
-  checker both the tests and ``scripts/metrics_smoke.py`` run against a
-  scrape.
+* Snapshot arithmetic over registry snapshots (cumulative; scrapes never
+  reset state): :func:`diff_snapshots` subtracts two snapshots for
+  rate/p50/p95 windows and :func:`quantile_from_buckets` reads a
+  quantile off cumulative buckets, which is how ``repro top``
+  (:func:`render_top`) computes per-interval views.
+* :func:`validate_exposition` — the Prometheus text-format checker both
+  the tests and ``scripts/metrics_smoke.py`` run against a scrape.
 * :func:`write_otlp_jsonl` — the tracer's span ring as OTLP-flavored
   JSON Lines (one span object per line with ``traceId`` / ``spanId`` /
   ``startTimeUnixNano`` / ``attributes``), alongside the existing
@@ -31,10 +27,7 @@ the request-scoped layer on top of it:
   synthetic one derived from their call path so the file is
   self-consistent.
 
-Everything here is pure stdlib and allocation-light: registries are flat
-dicts keyed by ``(name, sorted-label-items)``, histogram buckets are
-fixed lists, and nothing in this module touches the tracer's disabled
-hot path.
+Nothing in this module touches the tracer's disabled hot path.
 """
 
 from __future__ import annotations
@@ -42,15 +35,11 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "TraceContext",
-    "MetricsRegistry",
-    "DEFAULT_BUCKETS",
-    "MAX_SERIES_PER_FAMILY",
     "diff_snapshots",
     "quantile_from_buckets",
     "validate_exposition",
@@ -126,239 +115,6 @@ class TraceContext:
         if not trace_id or not span_id:
             raise ValueError(f"all-zero ids in traceparent {traceparent!r}")
         return cls(trace_id, span_id)
-
-
-# ----------------------------------------------------------------------
-# labeled metrics
-# ----------------------------------------------------------------------
-
-#: Default latency buckets (seconds) — tuned for a local check service
-#: where ops run 100µs..1s.  ``+Inf`` is implicit.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
-)
-
-#: Distinct label sets retained per metric family; further series fold
-#: into the ``overflow="true"`` bucket and bump ``dropped_series``.
-MAX_SERIES_PER_FAMILY = 64
-
-_OVERFLOW_KEY: Tuple[Tuple[str, str], ...] = (("overflow", "true"),)
-
-_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-
-
-class _Hist:
-    """One histogram series: cumulative bucket counts, sum, count."""
-
-    __slots__ = ("bounds", "bucket_counts", "sum", "count")
-
-    def __init__(self, bounds: Sequence[float]) -> None:
-        self.bounds = tuple(bounds)
-        self.bucket_counts = [0] * len(self.bounds)
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        self.sum += value
-        self.count += 1
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-
-    def cumulative(self) -> List[List[Any]]:
-        """``[[le, cumulative_count], ...]`` ending with ``["+Inf", count]``."""
-        out: List[List[Any]] = [
-            [bound, self.bucket_counts[i]] for i, bound in enumerate(self.bounds)
-        ]
-        out.append(["+Inf", self.count])
-        return out
-
-
-class _Family:
-    __slots__ = ("name", "kind", "help", "series")
-
-    def __init__(self, name: str, kind: str, help_: str) -> None:
-        self.name = name
-        self.kind = kind
-        self.help = help_
-        #: label-items tuple -> float (counter/gauge) or _Hist
-        self.series: Dict[Tuple[Tuple[str, str], ...], Any] = {}
-
-
-def _label_key(labels: Dict[str, Any]) -> Tuple[Tuple[str, str], ...]:
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
-
-
-class MetricsRegistry:
-    """Labeled counters, gauges, and histograms with bounded cardinality.
-
-    Thread-safe (one lock; every mutation is a handful of dict ops) and
-    cumulative: scrapes read a consistent :meth:`snapshot` or
-    :meth:`exposition` without resetting anything, so any number of
-    scrapers can watch one registry (delta computation is the reader's
-    job — see :func:`diff_snapshots`)."""
-
-    def __init__(self, max_series: int = MAX_SERIES_PER_FAMILY) -> None:
-        self.max_series = max_series
-        self.dropped_series = 0
-        self._families: Dict[str, _Family] = {}
-        self._lock = threading.Lock()
-
-    # -- internals ------------------------------------------------------
-
-    def _family(self, name: str, kind: str, help_: str) -> _Family:
-        fam = self._families.get(name)
-        if fam is None:
-            if not _NAME_RE.match(name):
-                raise ValueError(f"invalid metric name {name!r}")
-            fam = self._families[name] = _Family(name, kind, help_)
-        elif fam.kind != kind:
-            raise ValueError(
-                f"metric {name!r} already registered as {fam.kind}, not {kind}"
-            )
-        return fam
-
-    def _series_key(
-        self, fam: _Family, labels: Dict[str, Any]
-    ) -> Tuple[Tuple[str, str], ...]:
-        key = _label_key(labels)
-        if key not in fam.series and len(fam.series) >= self.max_series:
-            self.dropped_series += 1
-            return _OVERFLOW_KEY
-        return key
-
-    # -- writers --------------------------------------------------------
-
-    def inc(self, name: str, value: float = 1.0, help: str = "", **labels: Any) -> None:
-        """Add ``value`` to the counter series ``name{labels}``."""
-        with self._lock:
-            fam = self._family(name, "counter", help)
-            key = self._series_key(fam, labels)
-            fam.series[key] = fam.series.get(key, 0.0) + value
-
-    def set_gauge(self, name: str, value: float, help: str = "", **labels: Any) -> None:
-        """Set the gauge series ``name{labels}`` to ``value``."""
-        with self._lock:
-            fam = self._family(name, "gauge", help)
-            fam.series[self._series_key(fam, labels)] = value
-
-    def observe(
-        self,
-        name: str,
-        value: float,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-        help: str = "",
-        **labels: Any,
-    ) -> None:
-        """Record ``value`` into the histogram series ``name{labels}``."""
-        with self._lock:
-            fam = self._family(name, "histogram", help)
-            key = self._series_key(fam, labels)
-            hist = fam.series.get(key)
-            if hist is None:
-                hist = fam.series[key] = _Hist(buckets)
-            hist.observe(value)
-
-    # -- readers --------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """A JSON-able, cumulative view of every series.  Shape::
-
-            {"counters":   [{"name", "labels", "value"}, ...],
-             "gauges":     [ ... same ... ],
-             "histograms": [{"name", "labels", "count", "sum",
-                             "buckets": [[le, cum], ..., ["+Inf", n]]}],
-             "dropped_series": int}
-        """
-        counters: List[Dict[str, Any]] = []
-        gauges: List[Dict[str, Any]] = []
-        histograms: List[Dict[str, Any]] = []
-        with self._lock:
-            for fam in sorted(self._families.values(), key=lambda f: f.name):
-                for key in sorted(fam.series):
-                    labels = dict(key)
-                    if fam.kind == "histogram":
-                        h = fam.series[key]
-                        histograms.append(
-                            {
-                                "name": fam.name,
-                                "labels": labels,
-                                "count": h.count,
-                                "sum": h.sum,
-                                "buckets": h.cumulative(),
-                            }
-                        )
-                    elif fam.kind == "counter":
-                        counters.append(
-                            {"name": fam.name, "labels": labels,
-                             "value": fam.series[key]}
-                        )
-                    else:
-                        gauges.append(
-                            {"name": fam.name, "labels": labels,
-                             "value": fam.series[key]}
-                        )
-            dropped = self.dropped_series
-        return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-            "dropped_series": dropped,
-        }
-
-    def exposition(self) -> str:
-        """Prometheus text format 0.0.4 (``# HELP`` / ``# TYPE`` headers,
-        ``_bucket``/``_sum``/``_count`` histogram triplets, trailing
-        newline)."""
-        lines: List[str] = []
-        with self._lock:
-            families = sorted(self._families.values(), key=lambda f: f.name)
-            for fam in families:
-                if fam.help:
-                    lines.append(f"# HELP {fam.name} {fam.help}")
-                lines.append(f"# TYPE {fam.name} {fam.kind}")
-                for key in sorted(fam.series):
-                    if fam.kind == "histogram":
-                        h = fam.series[key]
-                        for le, cum in h.cumulative():
-                            le_txt = le if le == "+Inf" else _fmt_value(le)
-                            lines.append(
-                                f"{fam.name}_bucket"
-                                f"{_fmt_labels(key + (('le', str(le_txt)),))}"
-                                f" {cum}"
-                            )
-                        lines.append(
-                            f"{fam.name}_sum{_fmt_labels(key)} {_fmt_value(h.sum)}"
-                        )
-                        lines.append(f"{fam.name}_count{_fmt_labels(key)} {h.count}")
-                    else:
-                        lines.append(
-                            f"{fam.name}{_fmt_labels(key)}"
-                            f" {_fmt_value(fam.series[key])}"
-                        )
-            lines.append(
-                f"# TYPE repro_metrics_dropped_series counter"
-            )
-            lines.append(f"repro_metrics_dropped_series {self.dropped_series}")
-        return "\n".join(lines) + "\n"
-
-
-def _fmt_value(v: float) -> str:
-    if isinstance(v, float) and v.is_integer():
-        return str(int(v))
-    return repr(v) if isinstance(v, float) else str(v)
-
-
-def _escape_label(value: str) -> str:
-    return value.replace("\\", r"\\").replace('"', r"\"").replace("\n", r"\n")
-
-
-def _fmt_labels(items: Tuple[Tuple[str, str], ...]) -> str:
-    if not items:
-        return ""
-    body = ",".join(f'{k}="{_escape_label(v)}"' for k, v in items)
-    return "{" + body + "}"
 
 
 # ----------------------------------------------------------------------

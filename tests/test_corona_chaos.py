@@ -200,20 +200,18 @@ class TestHeapIsolation:
 
 
 class TestObservability:
-    def test_counters_and_histograms_mirror_into_tracer(self):
-        obs.enable()
-        run_chaos(
-            nodes=32,
-            shards=4,
-            objects=24,
-            requests=120,
-            seed=7,
-            faults="crash:1@30+120,drop:0.05,delay:0.1@6,fuel:17",
-        )
-        counters = obs.TRACER.counters
-        assert counters.get("chaos.injected", 0) >= 3
-        assert counters.get("retry.attempt", 0) > 0
-        assert "evolution.pause_virtual_ms" in obs.TRACER.histograms
+    def test_counters_and_histograms_mirror_into_tracer(self, capsys):
+        """The driver records into its own store, which ``--profile``
+        prints beside the tracer's ``corona.*`` spans."""
+        assert cli_main([
+            "corona", "--nodes", "32", "--shards", "4", "--requests", "120",
+            "--seed", "7", "--faults", "crash:1@30+120,drop:0.05,delay:0.1@6,fuel:17",
+            "--profile",
+        ]) == 0
+        err = capsys.readouterr().err
+        for name in ("chaos.injected", "retry.attempt", "evolution.pause_virtual_ms"):
+            assert name in err
+        assert "chaos.injected" not in obs.TRACER.counters
         spans = {path[0] for path, _c, _ns in obs.TRACER.span_tree()}
         assert "corona.boot" in spans
         assert "corona.evolve" in spans
@@ -346,14 +344,12 @@ class TestTraceDeterminism:
             assert args["op"] in ("fetch", "publish")
 
     def test_labeled_request_metrics(self):
+        """Each request ends in exactly one outcome counter of the
+        report (which copies ``driver.metrics``)."""
         driver, report = self._run()
-        snap = driver.metrics.snapshot()
-        by_op = {
-            (c["labels"]["op"], c["labels"]["outcome"]): c["value"]
-            for c in snap["counters"]
-            if c["name"] == "corona_requests_total"
-        }
-        total = sum(by_op.values())
-        assert total == self.SMALL["requests"]
-        assert by_op[("fetch", "ok")] > 0
-        assert by_op[("publish", "ok")] > 0
+        c = report.counters
+        outcomes = ("fetch.ok", "publish.ok", "publish.superseded",
+                    "degraded.stale_serve", "requests.failed")
+        assert sum(c.get(name, 0) for name in outcomes) == self.SMALL["requests"]
+        assert c["fetch.ok"] > 0 and c["publish.ok"] > 0
+        assert c == dict(driver.metrics.counters)

@@ -379,51 +379,9 @@ class TestDifferential:
         assert obs.TRACER.counters.get("dispatch.codegen_hit", 0) > 0
 
 
-class TestInstantSampling:
-    """enable(sample_rate=N): 1-in-N instants land in the ring, while
-    counters (and spans) stay exact — the PR 3 follow-up."""
-
-    def test_sample_rate_decimates_ring(self):
-        t = Tracer()
-        t.enable(sample_rate=10)
-        for i in range(100):
-            t.event("e", i=i)
-        assert t.counters["e"] == 100  # counter always bumps
-        assert len(t.events) == 10
-        # Deterministic phase: the kept instants are seq 0, 10, 20, ...
-        assert [dict(rec.args)["i"] for rec in t.events] == list(range(0, 100, 10))
-
-    def test_sample_rate_one_keeps_everything(self):
-        t = Tracer()
-        t.enable(sample_rate=1)
-        for i in range(7):
-            t.event("e", i=i)
-        assert len(t.events) == 7
-
-    def test_spans_not_sampled(self):
-        t = Tracer()
-        t.enable(sample_rate=50)
-        for _ in range(20):
-            with t.span("s"):
-                pass
-        assert sum(1 for rec in t.events if isinstance(rec, SpanRecord)) == 20
-
-    def test_invalid_sample_rate_rejected(self):
-        with pytest.raises(ValueError):
-            Tracer().enable(sample_rate=0)
-
-    def test_reset_restarts_sampling_phase(self):
-        t = Tracer()
-        t.enable(sample_rate=3)
-        t.event("e", i=0)  # seq 0: kept
-        t.reset()
-        t.event("e", i=1)  # seq 0 again after reset: kept
-        assert [dict(rec.args)["i"] for rec in t.events] == [1]
-
-
 class TestJsonlStreaming:
-    """open_stream(path): every finished span and kept instant is written
-    as one Chrome-trace event object per line, bypassing the ring bound."""
+    """open_stream(path): every finished span and instant is written as
+    one Chrome-trace event object per line, bypassing the ring bound."""
 
     def test_stream_has_one_chrome_event_per_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -451,16 +409,6 @@ class TestJsonlStreaming:
         t.close_stream()
         assert len(t.events) == 4  # ring still bounded
         assert len(path.read_text().splitlines()) == 50  # stream kept all
-
-    def test_stream_respects_sampling(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        t = Tracer()
-        t.enable(sample_rate=5)
-        t.open_stream(str(path))
-        for i in range(20):
-            t.event("e", i=i)
-        t.close_stream()
-        assert len(path.read_text().splitlines()) == 4
 
     def test_stream_matches_ring_export_schema(self, tmp_path):
         path = tmp_path / "trace.jsonl"

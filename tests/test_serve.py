@@ -280,13 +280,65 @@ def test_tracer_counts_request_outcomes():
         svc = CheckService()
         svc.handle({"op": "ping"})
         svc.handle({"op": "nope"})
-        assert obs.TRACER.counters["serve.request"] == 2
-        assert obs.TRACER.counters["serve.request.ok"] == 1
-        assert obs.TRACER.counters["serve.request.error"] == 1
-        assert obs.TRACER.histograms["serve.latency.ping"].count == 1
+        spans = {path: count for path, count, _ in obs.TRACER.span_tree()}
+        assert spans[("serve.request",)] == 2
+        outcomes = {
+            c["labels"]["outcome"]: c["value"]
+            for c in svc.metrics.snapshot()["counters"]
+            if c["name"] == "serve_requests_total"
+        }
+        assert outcomes == {"ok": 1, "error": 1}
+        # the registry is the one record of a request: no tracer copy
+        assert not [n for n in obs.TRACER.counters if n.startswith("serve.")]
     finally:
         obs.disable()
         obs.TRACER.reset()
+
+
+def test_exposition_and_span_tree_agree():
+    """With tracing on, the Prometheus exposition and the ``--profile``
+    span tree count the same requests."""
+    from repro import obs
+    from repro.telemetry import validate_exposition
+
+    requests = [
+        {"op": "open", "session": "s", "source": SRC},
+        {"op": "check", "session": "s"},
+        {"op": "edit", "session": "s",
+         "source": SRC.replace("get() + get()", "get() * 2")},
+        {"op": "check", "session": "s"},
+        {"op": "run", "session": "s", "entry": "Main.main"},  # no Main: error
+        {"op": "ping"},
+        {"op": "stats"},
+        {"op": "frobnicate"},
+        {"op": "check", "session": "missing"},
+    ]
+    obs.TRACER.reset()
+    obs.enable()
+    try:
+        svc = CheckService()
+        for req in requests:
+            svc.handle(req)
+        spans = sum(
+            count for path, count, _ in obs.TRACER.span_tree()
+            if path[-1] == "serve.request"
+        )
+    finally:
+        obs.disable()
+        obs.TRACER.reset()
+    text = svc.metrics.exposition()
+    assert validate_exposition(text) == []
+
+    def total(family):
+        return sum(
+            float(line.rsplit(" ", 1)[1])
+            for line in text.splitlines()
+            if line.startswith(family + "{")
+        )
+
+    assert spans == len(requests)
+    assert total("serve_requests_total") == spans
+    assert total("serve_request_seconds_count") == spans
 
 
 def test_trace_ids_deterministic_for_seed():
@@ -509,7 +561,7 @@ class TestBackendLabeledMetrics:
         assert ("run", "codegen") in hists
 
     def test_request_series_stay_inside_the_family_cap(self):
-        from repro.telemetry import MAX_SERIES_PER_FAMILY
+        from repro.obs import MAX_SERIES_PER_FAMILY
 
         svc = CheckService()
         svc.handle({"op": "open", "session": "p", "source": PROF_SRC})

@@ -1,6 +1,6 @@
-"""Trace-context derivation, the labeled metrics registry, Prometheus
-exposition, delta snapshots, and the OTLP span exporter
-(:mod:`repro.telemetry`).
+"""Trace-context derivation, the labeled metrics registry
+(:class:`repro.obs.MetricsRegistry`), Prometheus exposition, delta
+snapshots, and the OTLP span exporter (:mod:`repro.telemetry`).
 
 The serve/CorONA integration of these pieces is covered in
 tests/test_serve.py and tests/test_corona_chaos.py; here we pin the
@@ -16,10 +16,8 @@ import pytest
 
 from repro import obs
 from repro.chaos import Rng
+from repro.obs import DEFAULT_BUCKETS, MAX_SERIES_PER_FAMILY, MetricsRegistry
 from repro.telemetry import (
-    DEFAULT_BUCKETS,
-    MAX_SERIES_PER_FAMILY,
-    MetricsRegistry,
     TraceContext,
     diff_snapshots,
     quantile_from_buckets,
@@ -148,6 +146,20 @@ class TestRegistry:
         assert 'req_total{op="check"} 1' in text
         assert 'lat_seconds_bucket{op="check",le="+Inf"} 1' in text
         assert 'lat_seconds_count{op="check"} 1' in text
+
+    def test_tracer_names_and_unbounded_histograms(self):
+        """The tracer's dotted names and bucket-free histograms live in
+        the same store: read back by name, sanitised only on exposition."""
+        reg = MetricsRegistry()
+        reg.inc("dispatch.hit", 2)
+        reg.observe("span.lex", 5, buckets=())
+        assert dict(reg.counters) == {"dispatch.hit": 2}
+        assert reg.histograms["span.lex"].p50 == 5
+        text = reg.exposition()
+        assert validate_exposition(text) == []
+        assert "dispatch_hit 2" in text
+        assert 'span_lex_bucket{le="+Inf"} 1' in text
+        assert "span_lex_bucket{le=\"0.0005\"}" not in text
 
     def test_exposition_escapes_label_values(self):
         reg = MetricsRegistry()
