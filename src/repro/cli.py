@@ -38,7 +38,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from contextlib import nullcontext
+from pathlib import Path
+from typing import Any, Callable, List, Optional
 
 from . import obs
 from .api import cache_stats, compile_program
@@ -47,6 +49,7 @@ from .lang.classtable import ClassTable, JnsError
 from .lang.infer import infer_constraints, install_constraints
 from .lang.resolve import resolve_program
 from .lang.typecheck import check_program
+from .profiler import ProfileReport, profile_source, profiling
 from .runtime.interp import BACKENDS
 from .source.parser import parse_program
 from .source.unparse import unparse
@@ -63,23 +66,37 @@ def _read(path: str) -> str:
         raise SystemExit(1)
 
 
+def _write(path: str, write: Callable[[str], Any]) -> None:
+    """Run one export writer on ``path``; unwritable paths exit with a
+    clean error instead of a traceback (the counterpart of ``_read``)."""
+    try:
+        write(path)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        raise SystemExit(1)
+
+
+def _write_text(path: str, text: str) -> None:
+    _write(path, lambda p: Path(p).write_text(text))
+
+
 def _tracing_requested(args) -> bool:
     return bool(
         getattr(args, "profile", False)
         or getattr(args, "trace_out", None)
         or getattr(args, "flame", None)
-        or getattr(args, "otlp_out", None)
     )
 
 
 def _begin_tracing(args) -> None:
-    """Enable the tracer for ``run``/``check``; a ``--trace-out`` path
-    with a ``.jsonl`` extension opens the streaming JSONL sink up front
-    so events bypass the bounded ring."""
-    obs.enable()
+    """Enable the tracer for ``run``/``check``/``corona``; a
+    ``--trace-out`` path with a ``.jsonl`` extension opens the streaming
+    JSONL sink up front (so a bad path fails before any work) and events
+    bypass the bounded ring."""
     trace_out = getattr(args, "trace_out", None)
     if trace_out and trace_out.endswith(".jsonl"):
-        obs.TRACER.open_stream(trace_out)
+        _write(trace_out, obs.TRACER.open_stream)
+    obs.enable()
 
 
 def _emit_observability(args, stats, metrics=None) -> None:
@@ -104,7 +121,7 @@ def _emit_observability(args, stats, metrics=None) -> None:
                 file=sys.stderr,
             )
         else:
-            obs.TRACER.write_chrome_trace(trace_out)
+            _write(trace_out, obs.TRACER.write_chrome_trace)
             print(
                 f"wrote Chrome trace to {trace_out} "
                 "(load in chrome://tracing or https://ui.perfetto.dev)",
@@ -112,18 +129,12 @@ def _emit_observability(args, stats, metrics=None) -> None:
             )
     flame = getattr(args, "flame", None)
     if flame:
-        obs.TRACER.write_collapsed(flame)
+        _write(flame, obs.TRACER.write_collapsed)
         print(
             f"wrote collapsed-stack flamegraph to {flame} "
             "(fold with flamegraph.pl or load in https://speedscope.app)",
             file=sys.stderr,
         )
-    otlp_out = getattr(args, "otlp_out", None)
-    if otlp_out:
-        from . import telemetry
-
-        n = telemetry.write_otlp_jsonl(obs.TRACER, otlp_out)
-        print(f"wrote {n} OTLP-flavored spans to {otlp_out}", file=sys.stderr)
     if getattr(args, "stats_json", False) and stats is not None:
         print(json.dumps(stats.to_dict(), sort_keys=True))
 
@@ -133,6 +144,7 @@ def cmd_run(args) -> int:
     if _tracing_requested(args):
         _begin_tracing(args)
     interp = None
+    line_counts = None
     try:
         try:
             program = compile_program(source, check=not args.no_check)
@@ -145,14 +157,11 @@ def cmd_run(args) -> int:
             backend=args.backend,
             max_steps=args.max_steps,
             max_depth=args.max_depth,
-            line_profile=getattr(args, "line_profile", False),
+            line_profile=args.line_profile,
         )
-        if getattr(args, "line_profile", False):
-            from .profiler import PROFILER
-
-            PROFILER.start()
         try:
-            result = interp.run(args.entry)
+            with (profiling() if args.line_profile else nullcontext()) as line_counts:
+                result = interp.run(args.entry)
         except JnsError as exc:
             print(f"runtime error: {exc}", file=sys.stderr)
             for note in exc.notes:
@@ -165,19 +174,12 @@ def cmd_run(args) -> int:
     finally:
         # Observability output is emitted even when the program failed —
         # a profile of the failing run is exactly what one wants then.
-        if getattr(args, "line_profile", False) and interp is not None:
-            from .profiler import PROFILER, merge_reports
-
-            PROFILER.stop()
-            report = merge_reports(
-                source, args.file, PROFILER.snapshot(), None,
-                backend_det=interp.backend,
+        if line_counts is not None:
+            report = ProfileReport(
+                source, args.file, det=line_counts, backend_det=interp.backend
             )
-            print(
-                report.render_text(color=sys.stderr.isatty()),
-                file=sys.stderr,
-                end="",
-            )
+            print(report.render_text(color=sys.stderr.isatty()),
+                  file=sys.stderr, end="")
         if _tracing_requested(args):
             obs.disable()
         stats = interp.cache_stats() if interp is not None else cache_stats()
@@ -188,8 +190,6 @@ def cmd_profile(args) -> int:
     """Source-level line profiler: deterministic event counts on one
     backend merged with wall-clock samples from the codegen tier,
     rendered as an annotated-source heatmap (or HTML/JSON/flame)."""
-    from . import profiler as prof
-
     if args.file.startswith("jolden:"):
         from .programs import jolden
 
@@ -210,7 +210,7 @@ def cmd_profile(args) -> int:
         entry = args.entry or "Main.main"
         entry_args = tuple(args.args or ())
     try:
-        report = prof.profile_source(
+        report = profile_source(
             source,
             file=args.file,
             entry=entry,
@@ -225,18 +225,13 @@ def cmd_profile(args) -> int:
         print(render(exc.to_diagnostic(), source), file=sys.stderr)
         return 1
     if args.flame:
-        folds = "".join(
-            ";".join(k) + f" {n}\n" for k, n in sorted(report.folds.items())
-        )
-        with open(args.flame, "w") as fh:
-            fh.write(folds)
+        _write_text(args.flame, obs.collapsed_lines(sorted(report.folds.items())))
         print(
             f"wrote {len(report.folds)} jns-frame folds to {args.flame}",
             file=sys.stderr,
         )
     if args.html:
-        with open(args.html, "w") as fh:
-            fh.write(report.render_html())
+        _write_text(args.html, report.render_html())
         print(f"wrote HTML report to {args.html}", file=sys.stderr)
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True))
@@ -364,15 +359,7 @@ def cmd_explain(args) -> int:
 
     html_out = getattr(args, "html", None)
     if html_out:
-        try:
-            with open(html_out, "w") as f:
-                f.write(render_html(result))
-        except OSError as exc:
-            print(
-                f"error: cannot write {html_out}: {exc.strerror}",
-                file=sys.stderr,
-            )
-            return 1
+        _write_text(html_out, render_html(result))
         print(f"wrote derivation tree to {html_out}", file=sys.stderr)
         if not getattr(args, "json", False):
             return 0
@@ -558,13 +545,6 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
         help="write the span tree as collapsed-stack lines ('a;b;c USEC', "
         "self-time weighted) — the input format of flamegraph.pl and "
         "speedscope",
-    )
-    parser.add_argument(
-        "--otlp-out",
-        metavar="FILE",
-        default=None,
-        help="write finished spans as OTLP-flavored JSON Lines (traceId/"
-        "spanId/attributes per span) alongside the Chrome-trace formats",
     )
 
 

@@ -48,9 +48,12 @@ coherent span tree, and records carry a small per-thread ``tid``
 concurrent sessions land on distinct tracks.  When the bounded ring
 overwrites an old event, the ``events_dropped`` counter bumps (surfaced
 in the ``--profile`` report and in Chrome-trace ``otherData``), so
-silent loss is visible.  ``Tracer.to_collapsed()`` folds the span-path
-aggregate into collapsed-stack lines (``a;b;c VALUE``) for speedscope /
-flamegraph.pl — see ``run/check --flame``.
+silent loss is visible.
+
+:func:`collapsed_lines` is the one writer of collapsed-stack lines
+(``a;b;c VALUE``, for speedscope / flamegraph.pl): ``Tracer.to_collapsed``
+feeds it the span-path aggregate (``run/check --flame``) and
+``repro profile --flame`` the sampler's jns-frame folds.
 
 The unified report (:func:`format_report`) folds a
 :class:`~repro.lang.queries.CacheStats` snapshot and, optionally, a
@@ -69,7 +72,9 @@ from bisect import bisect_left
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 __all__ = [
     "Tracer",
@@ -83,6 +88,8 @@ __all__ = [
     "enable",
     "disable",
     "enabled",
+    "fold_label",
+    "collapsed_lines",
     "format_report",
 ]
 
@@ -791,19 +798,14 @@ class Tracer:
         time in microseconds (child time is subtracted, so the folded
         graph sums correctly); ``weight="count"`` weighs by occurrence
         count, which is wall-clock-free and therefore byte-stable across
-        seeded replays — the determinism tests fold with it.
-
-        Frame labels are escaped (``;`` and whitespace are structural in
-        the collapsed format: the former separates frames, the latter
-        separates the stack from its weight), so a span named
+        seeded replays — the determinism tests fold with it.  Frame
+        labels are escaped by :func:`collapsed_lines`, so a span named
         ``"check A; B"`` folds as one frame, not three."""
-        from .profiler import fold_label
-
         if weight not in ("us", "count"):
             raise ValueError(f"weight must be 'us' or 'count', got {weight!r}")
         rows = self.span_tree()
         totals = {path: total for path, _, total in rows}
-        lines = []
+        folds = []
         for path, count, total_ns in rows:
             if weight == "count":
                 value = count
@@ -814,37 +816,12 @@ class Tracer:
                     if len(p) == len(path) + 1 and p[: len(path)] == path
                 )
                 value = max(0, total_ns - child_ns) // 1000
-            lines.append(";".join(fold_label(p) for p in path) + f" {value}")
-        return "\n".join(lines) + ("\n" if lines else "")
+            folds.append((path, value))
+        return collapsed_lines(folds)
 
     def write_collapsed(self, path: str, weight: str = "us") -> None:
         with open(path, "w") as f:
             f.write(self.to_collapsed(weight=weight))
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Machine-readable aggregate snapshot (no ring contents)."""
-        return {
-            "enabled": self.enabled,
-            "observations": self.observations,
-            "events_dropped": self.events_dropped,
-            "counters": dict(sorted(self.counters.items())),
-            "histograms": {
-                name: h.to_dict() for name, h in sorted(self.histograms.items())
-            },
-            "spans": [
-                {
-                    "path": list(path),
-                    "count": count,
-                    "total_ns": total,
-                    **(
-                        {"args": self.span_args(path)}
-                        if self._span_agg[path][2]
-                        else {}
-                    ),
-                }
-                for path, count, total in self.span_tree()
-            ],
-        }
 
     # ------------------------------------------------------------------
     # report
@@ -884,10 +861,6 @@ class Tracer:
                 row += "  " + _fmt_span_args(summary)
             lines.append(row)
         return "\n".join(lines)
-
-    def format_events(self) -> str:
-        """Semantic event counters (everything that isn't a span)."""
-        return _format_table("semantic events", self.counters, {})
 
 
 def _format_table(
@@ -933,6 +906,27 @@ def _trace_event(rec: Any) -> Dict[str, Any]:
         "tid": rec.tid,
         "args": dict(rec.args),
     }
+
+
+def fold_label(name: str) -> str:
+    """One frame label made safe for the collapsed-stack format: ``;``
+    separates frames and whitespace separates the stack from its weight,
+    so ``;`` becomes ``:`` and whitespace ``_`` (idempotent)."""
+    if not name:
+        return "(anonymous)"
+    return "".join(
+        ":" if ch == ";" else "_" if ch.isspace() else ch for ch in name
+    )
+
+
+def collapsed_lines(rows: Iterable[Tuple[Sequence[str], Any]]) -> str:
+    """Ordered ``(frames, weight)`` rows as collapsed-stack text, one
+    ``frame;frame;frame WEIGHT`` line each — the input format of
+    flamegraph.pl and speedscope."""
+    return "".join(
+        ";".join(fold_label(f) for f in frames) + f" {weight}\n"
+        for frames, weight in rows
+    )
 
 
 def _fmt_span_args(summary: Dict[str, Any]) -> str:
@@ -988,7 +982,10 @@ def format_report(
     Shared by ``repro run/check/corona --profile`` and the REPL's
     ``:profile`` / ``:stats`` meta-commands."""
     tracer = TRACER if tracer is None else tracer
-    parts = [tracer.format_phases(), tracer.format_events()]
+    parts = [
+        tracer.format_phases(),
+        _format_table("semantic events", tracer.counters, {}),
+    ]
     if metrics is not None:
         parts.append(
             _format_table("driver metrics", metrics.counters, metrics.histograms)

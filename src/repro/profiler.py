@@ -18,12 +18,15 @@ Two collectors feed one per-line table:
   for the workload thread and resolves any frame whose code object
   lives in a ``<jns:P.C.m>`` file back through the emitted source map
   (:class:`EmittedSource.linemap`) to the originating jns line.  Sampled
-  frames also yield collapsed-stack folds keyed by jns frames rather
-  than obs span paths.
+  frames also yield folds keyed by jns frames rather than obs span
+  paths, written out by :func:`repro.obs.collapsed_lines`.
 
-``merge_reports`` joins both into a :class:`ProfileReport` rendered as
-an annotated-source terminal heatmap, a self-contained HTML report, or
-JSON (the ``profile`` op of ``repro serve``).
+:func:`profiling` is the one driver of a deterministic run: every
+surface (``repro profile``, ``repro run --line-profile``, the REPL's
+``:lines``, the serve ``profile`` op) runs its workload inside it.  A
+:class:`ProfileReport` built from its snapshot (and, optionally, a
+sampler) renders as an annotated-source terminal heatmap, a
+self-contained HTML report, or JSON.
 
 The deterministic event columns are cross-backend invariants: the
 ``steps`` column (statement entries) agrees exactly between walker and
@@ -40,7 +43,10 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+
+from .obs import fold_label
 
 __all__ = [
     "PROFILER",
@@ -48,30 +54,9 @@ __all__ = [
     "SamplingProfiler",
     "EmittedSource",
     "ProfileReport",
-    "fold_label",
-    "merge_reports",
+    "profiling",
     "profile_source",
 ]
-
-
-def fold_label(name: str) -> str:
-    """Sanitize one frame label for the collapsed-stack fold format.
-
-    Folds are ``frame;frame;frame COUNT`` — a ``;`` or any whitespace
-    inside a frame name would corrupt the fold structure for downstream
-    tools (flamegraph.pl, speedscope), so both are replaced.
-    """
-    if not name:
-        return "(anonymous)"
-    out = []
-    for ch in name:
-        if ch == ";":
-            out.append(":")
-        elif ch.isspace():
-            out.append("_")
-        else:
-            out.append(ch)
-    return "".join(out)
 
 
 class EmittedSource(str):
@@ -312,21 +297,6 @@ class SamplingProfiler:
         if not self.samples_total:
             return 0.0
         return self.wall_seconds / self.samples_total
-
-    def to_collapsed(self) -> str:
-        """Collapsed folds keyed by jns frames (``P.C.m:line``), one
-        fold per line, for flamegraph.pl / speedscope."""
-        lines = [
-            ";".join(key) + f" {n}"
-            for key, n in sorted(self.folds.items())
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def write_collapsed(self, path: str) -> int:
-        text = self.to_collapsed()
-        with open(path, "w") as fh:
-            fh.write(text)
-        return len(self.folds)
 
 
 # ---------------------------------------------------------------------------
@@ -575,27 +545,25 @@ class ProfileReport:
         )
 
 
-def merge_reports(
-    source: str,
-    file: str,
-    det: Optional[Dict[str, Dict[int, int]]],
-    sampler: Optional[SamplingProfiler],
-    backend_det: str = "",
-    backend_sampled: str = "",
-) -> ProfileReport:
-    return ProfileReport(
-        source,
-        file=file,
-        det=det,
-        sampler=sampler,
-        backend_det=backend_det,
-        backend_sampled=backend_sampled,
-    )
-
-
 # ---------------------------------------------------------------------------
 # drivers
 # ---------------------------------------------------------------------------
+
+
+@contextmanager
+def profiling() -> Iterator[Dict[str, Dict[int, int]]]:
+    """Run the ``with`` body under :data:`PROFILER`, holding
+    :data:`PROFILE_LOCK` (the counters are process-global).  Yields a
+    dict that is filled with the counter snapshot when the body exits,
+    also when it raises; the profiler is stopped either way."""
+    snapshot: Dict[str, Dict[int, int]] = {}
+    with PROFILE_LOCK:
+        PROFILER.start()
+        try:
+            yield snapshot
+        finally:
+            PROFILER.stop()
+            snapshot.update(PROFILER.snapshot())
 
 
 def run_deterministic(
@@ -606,16 +574,11 @@ def run_deterministic(
     mode: str = "jns",
 ) -> Tuple[Dict[str, Dict[int, int]], Any]:
     """One profiled run on a deterministic tier; returns (snapshot,
-    entry result).  Serialized on :data:`PROFILE_LOCK` because the
-    counters are process-global."""
-    with PROFILE_LOCK:
-        interp = program.interp(mode=mode, backend=backend, line_profile=True)
-        PROFILER.start()
-        try:
-            result = interp.run(entry, args)
-        finally:
-            PROFILER.stop()
-        return PROFILER.snapshot(), result
+    entry result)."""
+    interp = program.interp(mode=mode, backend=backend, line_profile=True)
+    with profiling() as snapshot:
+        result = interp.run(entry, args)
+    return snapshot, result
 
 
 def run_sampled(
@@ -677,11 +640,11 @@ def profile_source(
             interval=interval,
             min_samples=min_samples,
         )
-    return merge_reports(
+    return ProfileReport(
         source,
         file,
-        det,
-        sampler,
+        det=det,
+        sampler=sampler,
         backend_det=det_backend,
         backend_sampled="codegen" if sample else "",
     )

@@ -12,11 +12,13 @@ programmatic/testable interface.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from contextlib import nullcontext
+from typing import List, Optional
 
 from . import obs
 from .api import cache_stats, compile_program
 from .lang.classtable import JnsError
+from .profiler import ProfileReport, profiling
 from .source.lexer import tokenize
 from .source.parser import ParseError, Parser
 
@@ -215,37 +217,22 @@ class ReplSession:
             return [f"error: {exc}"]
         # The codegen backend is what `repro run` defaults to; the REPL
         # matches it so :profile and :stats report the same pipeline
-        # users measure elsewhere (switch with :backend NAME).
-        if self.line_profile:
-            return self._run_profiled(program, source)
-        interp = program.interp(mode="jns", backend=self.backend)
+        # users measure elsewhere (switch with :backend NAME).  Under
+        # `:lines on` the run also yields the annotated heatmap (kept
+        # for a bare `:lines`).
+        interp = program.interp(
+            mode="jns", backend=self.backend, line_profile=self.line_profile
+        )
         try:
-            ref = interp.new_instance(("_Repl",), ())
-            interp.call_method(ref, "_run", [])
-        except JnsError as exc:
-            return interp.output + [f"runtime error: {exc}"]
-        return interp.output
-
-    def _run_profiled(self, program, source: str) -> List[str]:
-        """`:lines on` path: run under the deterministic line profiler
-        and append the annotated heatmap (kept for a bare `:lines`)."""
-        from .profiler import PROFILE_LOCK, PROFILER, merge_reports
-
-        with PROFILE_LOCK:
-            interp = program.interp(
-                mode="jns", backend=self.backend, line_profile=True
-            )
-            PROFILER.start()
-            try:
+            with (profiling() if self.line_profile else nullcontext()) as line_counts:
                 ref = interp.new_instance(("_Repl",), ())
                 interp.call_method(ref, "_run", [])
-            except JnsError as exc:
-                return interp.output + [f"runtime error: {exc}"]
-            finally:
-                PROFILER.stop()
-            snap = PROFILER.snapshot()
-        report = merge_reports(
-            source, "<repl>", snap, None, backend_det=self.backend
+        except JnsError as exc:
+            return interp.output + [f"runtime error: {exc}"]
+        if line_counts is None:
+            return interp.output
+        report = ProfileReport(
+            source, "<repl>", det=line_counts, backend_det=self.backend
         )
         self._last_lines = report.render_text(context=1).splitlines()
         return interp.output + self._last_lines

@@ -1,5 +1,5 @@
 """Request-scoped telemetry: trace contexts, snapshot windows, exposition
-checks, OTLP export, and the ``repro top`` console.
+checks, and the ``repro top`` console.
 
 The counters, gauges, and histograms themselves live in one store type,
 :class:`repro.obs.MetricsRegistry`; this module adds the request-scoped
@@ -19,13 +19,11 @@ layer around it:
   (:func:`render_top`) computes per-interval views.
 * :func:`validate_exposition` — the Prometheus text-format checker both
   the tests and ``scripts/metrics_smoke.py`` run against a scrape.
-* :func:`write_otlp_jsonl` — the tracer's span ring as OTLP-flavored
-  JSON Lines (one span object per line with ``traceId`` / ``spanId`` /
-  ``startTimeUnixNano`` / ``attributes``), alongside the existing
-  Chrome-trace export.  Spans that carried ``trace_id`` / ``span_id``
-  args (the request spans) keep their real identity; others get a
-  synthetic one derived from their call path so the file is
-  self-consistent.
+
+The request identity reaches the user through the tracer's one span
+export: request spans carry ``trace_id`` / ``span_id`` (and, for
+CorONA, ``parent_span_id``) args, which ``--trace-out`` writes into
+each Chrome-trace event's ``args``.
 
 Nothing in this module touches the tracer's disabled hot path.
 """
@@ -33,7 +31,6 @@ Nothing in this module touches the tracer's disabled hot path.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -43,7 +40,6 @@ __all__ = [
     "diff_snapshots",
     "quantile_from_buckets",
     "validate_exposition",
-    "write_otlp_jsonl",
     "render_top",
 ]
 
@@ -63,7 +59,7 @@ class TraceContext:
 
     The wire rendering follows the W3C ``traceparent`` shape
     (``00-<32 hex>-<16 hex>-01``) so the ids paste straight into any
-    OTLP-speaking tool."""
+    W3C-trace-context-aware tool."""
 
     trace_id: int
     span_id: int
@@ -310,94 +306,6 @@ def _split_labels(body: str) -> List[str]:
     if cur:
         items.append("".join(cur))
     return items
-
-
-# ----------------------------------------------------------------------
-# OTLP-flavored span export
-# ----------------------------------------------------------------------
-
-
-def _synth_ids(path: Tuple[str, ...], start_ns: int) -> Tuple[str, str]:
-    """Synthetic (trace, span) hex ids for spans that carried no explicit
-    trace context: trace id from the root span name, span id from the
-    full path + start offset — stable for a given recording."""
-    root = path[0] if path else "span"
-    trace = hashlib.blake2b(root.encode(), digest_size=16).hexdigest()
-    span = hashlib.blake2b(
-        f"{';'.join(path)}:{start_ns}".encode(), digest_size=8
-    ).hexdigest()
-    return trace, span
-
-
-def _attr_value(v: Any) -> Dict[str, Any]:
-    if isinstance(v, bool):
-        return {"boolValue": v}
-    if isinstance(v, int):
-        return {"intValue": v}
-    if isinstance(v, float):
-        return {"doubleValue": v}
-    return {"stringValue": str(v)}
-
-
-def write_otlp_jsonl(tracer: Any, path: str) -> int:
-    """Write every finished span in the tracer's ring as one
-    OTLP-flavored JSON object per line; returns the number of spans
-    written.  Spans whose args carry ``trace_id`` / ``span_id`` (the
-    request spans) keep that identity; ``parent_span_id`` maps to
-    ``parentSpanId``.  Spans without explicit identity get synthetic ids
-    and are linked to the tightest enclosing span one path level up."""
-    from .obs import SpanRecord
-
-    recs = [rec for rec in list(tracer.events) if isinstance(rec, SpanRecord)]
-    rows = []
-    for rec in recs:
-        args = dict(rec.args)
-        trace_id = args.pop("trace_id", None)
-        span_id = args.pop("span_id", None)
-        parent = args.pop("parent_span_id", "")
-        if not trace_id or not span_id:
-            s_trace, s_span = _synth_ids(rec.path, rec.start_ns)
-            trace_id = trace_id or s_trace
-            span_id = span_id or s_span
-        rows.append([rec, args, str(trace_id), str(span_id), str(parent)])
-    # Link spans that carried no explicit parent: the enclosing span is
-    # the one whose path is ours minus the leaf and whose time interval
-    # contains ours (tightest wins, for recursive same-path nests).
-    for row in rows:
-        rec, _, _, _, parent = row
-        if parent or len(rec.path) < 2:
-            continue
-        lo, hi = rec.start_ns, rec.start_ns + rec.dur_ns
-        best = None
-        for cand in rows:
-            crec = cand[0]
-            if crec is rec or crec.path != rec.path[:-1]:
-                continue
-            if crec.start_ns <= lo and crec.start_ns + crec.dur_ns >= hi:
-                if best is None or crec.dur_ns < best[0].dur_ns:
-                    best = cand
-        if best is not None:
-            row[2] = best[2]  # inherit the parent's trace id
-            row[4] = best[3]
-    n = 0
-    with open(path, "w") as f:
-        for rec, args, trace_id, span_id, parent in rows:
-            span = {
-                "name": rec.name,
-                "traceId": trace_id,
-                "spanId": span_id,
-                "parentSpanId": parent,
-                "kind": "SPAN_KIND_INTERNAL",
-                "startTimeUnixNano": rec.start_ns,
-                "endTimeUnixNano": rec.start_ns + rec.dur_ns,
-                "attributes": [
-                    {"key": k, "value": _attr_value(v)}
-                    for k, v in sorted(args.items())
-                ],
-            }
-            f.write(json.dumps(span) + "\n")
-            n += 1
-    return n
 
 
 # ----------------------------------------------------------------------

@@ -224,7 +224,7 @@ class TestFmt:
         assert interp.call_method(ref, "main", []) == 5
 
 
-class TestFlameAndOtlp:
+class TestFlame:
     def test_run_flame_writes_collapsed_stacks(self, good_file, tmp_path, capsys):
         out = tmp_path / "flame.txt"
         assert main(["run", good_file, "--flame", str(out)]) == 0
@@ -235,21 +235,54 @@ class TestFlameAndOtlp:
             path, value = line.rsplit(" ", 1)
             assert path and value.isdigit()
 
-    def test_check_otlp_out_writes_spans(self, good_file, tmp_path, capsys):
-        out = tmp_path / "spans.jsonl"
-        assert main(["check", good_file, "--otlp-out", str(out)]) == 0
-        capsys.readouterr()
-        rows = [json.loads(l) for l in out.read_text().splitlines()]
-        assert rows
-        for row in rows:
-            assert len(row["traceId"]) == 32 and len(row["spanId"]) == 16
-            assert row["endTimeUnixNano"] >= row["startTimeUnixNano"]
-
     def test_flame_leaves_tracer_disabled(self, good_file, tmp_path, capsys):
         from repro import obs
 
         assert main(["run", good_file, "--flame", str(tmp_path / "f.txt")]) == 0
         assert not obs.enabled()
+
+
+_CORONA = ["corona", "--nodes", "32", "--shards", "4", "--requests", "40"]
+_PROFILE = ["profile", "jolden:treeadd", "--args", "4", "1", "--no-sample"]
+_EXPLAIN = ["explain", "{file}", "--query", "shares B.C A.C"]
+_UNWRITABLE = [
+    pytest.param(argv, flag, name, id=f"{argv[0]}{flag}-{name}")
+    for argv in (["run", "{file}"], ["check", "{file}"], _CORONA)
+    for flag, name in (
+        ("--trace-out", "t.json"),
+        ("--trace-out", "t.jsonl"),
+        ("--flame", "t.folds"),
+    )
+] + [
+    pytest.param(_PROFILE, "--html", "p.html", id="profile--html-p.html"),
+    pytest.param(_PROFILE, "--flame", "p.folds", id="profile--flame-p.folds"),
+    pytest.param(_EXPLAIN, "--html", "e.html", id="explain--html-e.html"),
+]
+
+
+class TestUnwritableExport:
+    """Every CLI export to a path that cannot be written exits 1 with a
+    one-line ``error: cannot write`` instead of a traceback."""
+
+    @pytest.mark.parametrize("argv, flag, name", _UNWRITABLE)
+    def test_exits_1_with_clean_error(
+        self, argv, flag, name, good_file, tmp_path, capsys
+    ):
+        from repro import obs
+
+        path = str(tmp_path / "missing" / name)
+        args = [a.format(file=good_file) for a in argv] + [flag, path]
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"error: cannot write {path}" in captured.err
+        assert "Traceback" not in captured.err
+        assert not obs.enabled()
+        if name.endswith(".jsonl"):
+            assert captured.out == ""  # the stream opens before any work
 
 
 class TestTop:

@@ -8,6 +8,7 @@ violations, byte-identical replay from the seed, and kill-and-restart
 recovery through the evolution journal."""
 
 import json
+import re
 
 import pytest
 
@@ -342,6 +343,27 @@ class TestTraceDeterminism:
             assert args["trace_id"] in driver.trace_ids
             assert len(args["span_id"]) == 16
             assert args["op"] in ("fetch", "publish")
+
+    def test_jsonl_trace_out_keeps_request_identity(self, tmp_path, capsys):
+        """The request identity reaches the user through ``--trace-out``:
+        every streamed line is one JSON event, and each request span
+        carries its trace id, span id, and parent span id."""
+        import re
+
+        out = tmp_path / "x.jsonl"
+        assert cli_main([
+            "corona", "--nodes", "32", "--shards", "4", "--requests", "40",
+            "--seed", "7", "--trace-out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        events = [json.loads(line) for line in out.read_text().splitlines()]
+        requests = [e for e in events if e["name"] == "corona.request"]
+        assert requests
+        for event in requests:
+            args = event["args"]
+            assert re.fullmatch(r"[0-9a-f]{32}", args["trace_id"])
+            assert re.fullmatch(r"[0-9a-f]{16}", args["span_id"])
+            assert re.fullmatch(r"[0-9a-f]{16}", args["parent_span_id"])
 
     def test_labeled_request_metrics(self):
         """Each request ends in exactly one outcome counter of the

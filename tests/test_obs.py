@@ -253,14 +253,14 @@ class TestUnifiedReport:
         assert "no spans recorded" in text and "none recorded" in text
 
     def test_to_dict_snapshot(self):
+        # the aggregate snapshot is read through span_tree() / counters
         t = Tracer()
         t.enable()
         with t.span("s", unit="u"):
             t.count("c", 3)
-        d = t.to_dict()
-        assert d["counters"] == {"c": 3}
-        assert d["spans"][0]["path"] == ["s"]
-        assert json.loads(json.dumps(d)) == d
+        assert dict(t.counters) == {"c": 3}
+        ((path, count, total_ns),) = t.span_tree()
+        assert path == ("s",) and count == 1 and total_ns >= 0
 
 
 class TestSpanArgs:
@@ -316,11 +316,11 @@ class TestSpanArgs:
             with t.span("load", unit="Main"):
                 pass
         t.disable()
-        d = t.to_dict()
-        by_path = {tuple(s["path"]): s for s in d["spans"]}
-        assert by_path[("run",)]["args"]["unit"]["values"] == ["Main.main"]
-        assert by_path[("run", "load")]["args"]["unit"]["values"] == ["Main"]
-        assert json.loads(json.dumps(d)) == d
+        assert [path for path, _, _ in t.span_tree()] == [("run",), ("run", "load")]
+        run_args = t.span_args(("run",))
+        assert run_args["unit"]["values"] == ["Main.main"]
+        assert t.span_args(("run", "load"))["unit"]["values"] == ["Main"]
+        assert json.loads(json.dumps(run_args)) == run_args
 
     def test_span_tree_signature_unchanged(self):
         t = Tracer()
@@ -502,7 +502,6 @@ class TestRingDropCounter:
         assert len(t.events) == 4
         assert t.events_dropped == 6
         assert t.counters["events_dropped"] == 6
-        assert t.to_dict()["events_dropped"] == 6
 
     def test_chrome_trace_metadata_reports_drops(self):
         t = Tracer(ring_capacity=2)

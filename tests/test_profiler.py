@@ -13,14 +13,16 @@ import pytest
 from repro import benchtrack
 from repro.api import compile_program
 from repro.cli import main as cli_main
+from repro.obs import fold_label
 from repro.profiler import (
+    PROFILE_LOCK,
     PROFILER,
     EmittedSource,
-    fold_label,
-    merge_reports,
+    ProfileReport,
     profile_source,
     run_deterministic,
 )
+from repro.repl import ReplSession
 from repro.runtime.interp import BACKENDS
 
 # Fig. 5-style masked field behind a view change, plus a loop so the
@@ -284,8 +286,8 @@ class TestReport:
     def _report(self):
         program = compile_program(MASKED_LOOP)
         snap, _ = run_deterministic(program, entry="Main.main")
-        return merge_reports(
-            MASKED_LOOP, "<test>", snap, None, backend_det="codegen"
+        return ProfileReport(
+            MASKED_LOOP, "<test>", det=snap, backend_det="codegen"
         )
 
     def test_render_text_has_heat_and_columns(self):
@@ -417,6 +419,45 @@ class TestProfileCli:
         assert cli_main(["run", masked_file, "--line-profile"]) == 0
         err = capsys.readouterr().err
         assert "steps" in err and "heat" in err
+
+
+class TestOneDriver:
+    """``repro run --line-profile``, the REPL's ``:lines`` and
+    ``run_deterministic`` share one deterministic-profile driver."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_run_heatmap_matches_driver_snapshot(
+        self, masked_file, backend, capsys
+    ):
+        assert cli_main(
+            ["run", masked_file, "--backend", backend, "--line-profile"]
+        ) == 0
+        err = capsys.readouterr().err
+        snap, _ = run_deterministic(
+            compile_program(MASKED_LOOP), entry="Main.main", backend=backend
+        )
+        expected = ProfileReport(
+            MASKED_LOOP, masked_file, det=snap, backend_det=backend
+        ).render_text()
+        assert err == expected
+
+    def test_runtime_error_under_run_releases_profiler(self, tmp_path, capsys):
+        path = tmp_path / "oob.jns"
+        path.write_text(
+            "class Main { int main() { int[] a = new int[1]; return a[5]; } }"
+        )
+        assert cli_main(["run", str(path), "--line-profile"]) == 1
+        assert "heat" in capsys.readouterr().err  # the failing run's table
+        assert not PROFILER.enabled
+        assert not PROFILE_LOCK.locked()
+
+    def test_runtime_error_under_repl_lines_releases_profiler(self):
+        session = ReplSession()
+        session.feed(":lines on")
+        out = session.feed("int[] a = new int[1]; Sys.print(a[5]);")
+        assert any("runtime error" in line for line in out)
+        assert not PROFILER.enabled
+        assert not PROFILE_LOCK.locked()
 
 
 # ----------------------------------------------------------------------

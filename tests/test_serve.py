@@ -364,6 +364,25 @@ def test_inbound_traceparent_is_adopted():
     assert resp["ok"] and resp["trace"].startswith("00-")
 
 
+def test_inbound_trace_identity_in_chrome_trace():
+    """The Chrome trace (the one span export) keeps a request's identity:
+    the inbound trace id and the span id the response reports."""
+    from repro import obs
+
+    parent = "00-" + "ab" * 16 + "-" + "cd" * 8 + "-01"
+    obs.TRACER.reset()
+    obs.enable()
+    try:
+        resp = CheckService().handle({"op": "ping", "traceparent": parent})
+        trace = obs.TRACER.to_chrome_trace()
+    finally:
+        obs.disable()
+        obs.TRACER.reset()
+    (event,) = [e for e in trace["traceEvents"] if e["name"] == "serve.request"]
+    assert event["args"]["trace_id"] == "ab" * 16
+    assert event["args"]["span_id"] == resp["trace"].split("-")[2]
+
+
 def test_metrics_http_endpoint_scrape():
     import urllib.request
 

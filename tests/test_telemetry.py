@@ -1,6 +1,6 @@
 """Trace-context derivation, the labeled metrics registry
-(:class:`repro.obs.MetricsRegistry`), Prometheus exposition, delta
-snapshots, and the OTLP span exporter (:mod:`repro.telemetry`).
+(:class:`repro.obs.MetricsRegistry`), Prometheus exposition, and delta
+snapshots (:mod:`repro.telemetry`).
 
 The serve/CorONA integration of these pieces is covered in
 tests/test_serve.py and tests/test_corona_chaos.py; here we pin the
@@ -10,11 +10,8 @@ validity, bounded label cardinality, and snapshot arithmetic.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro import obs
 from repro.chaos import Rng
 from repro.obs import DEFAULT_BUCKETS, MAX_SERIES_PER_FAMILY, MetricsRegistry
 from repro.telemetry import (
@@ -22,7 +19,6 @@ from repro.telemetry import (
     diff_snapshots,
     quantile_from_buckets,
     validate_exposition,
-    write_otlp_jsonl,
 )
 
 
@@ -230,51 +226,3 @@ class TestSnapshots:
         assert p50 <= DEFAULT_BUCKETS[2]
         assert 0.1 <= p95 <= 0.25
         assert quantile_from_buckets([], 0.5) is None
-
-
-# ----------------------------------------------------------------------
-# OTLP JSONL export
-# ----------------------------------------------------------------------
-
-
-class TestOtlpExport:
-    def test_spans_round_trip_with_identity(self, tmp_path):
-        t = obs.Tracer()
-        t.enable()
-        ctx = TraceContext.from_rng(Rng(3))
-        kid = ctx.child("inner")
-        with t.span("outer", trace_id=ctx.hex_trace, span_id=ctx.hex_span):
-            with t.span(
-                "inner",
-                trace_id=kid.hex_trace,
-                span_id=kid.hex_span,
-                parent_span_id=ctx.hex_span,
-                shard=2,
-            ):
-                pass
-        out = tmp_path / "spans.jsonl"
-        n = write_otlp_jsonl(t, str(out))
-        assert n == 2
-        rows = [json.loads(l) for l in out.read_text().splitlines()]
-        by_name = {r["name"]: r for r in rows}
-        inner, outer = by_name["inner"], by_name["outer"]
-        assert inner["traceId"] == outer["traceId"] == ctx.hex_trace
-        assert inner["parentSpanId"] == outer["spanId"] == ctx.hex_span
-        assert inner["endTimeUnixNano"] >= inner["startTimeUnixNano"]
-        # identity fields were popped out of attributes; tags remain
-        attrs = {a["key"]: a["value"] for a in inner["attributes"]}
-        assert "trace_id" not in attrs and attrs["shard"]["intValue"] == 2
-
-    def test_spans_without_identity_get_synthetic_ids(self, tmp_path):
-        t = obs.Tracer()
-        t.enable()
-        with t.span("a"):
-            with t.span("b"):
-                pass
-        out = tmp_path / "spans.jsonl"
-        assert write_otlp_jsonl(t, str(out)) == 2
-        rows = [json.loads(l) for l in out.read_text().splitlines()]
-        by_name = {r["name"]: r for r in rows}
-        assert by_name["a"]["traceId"] == by_name["b"]["traceId"]
-        assert by_name["b"]["parentSpanId"] == by_name["a"]["spanId"]
-        assert len(by_name["a"]["traceId"]) == 32
