@@ -545,8 +545,8 @@ class IncrementalChecker:
                 delta = nc.start_line - 1
                 if delta:
                     toks = [
-                        Token(t.kind, t.value, t.line + delta, t.col)
-                        for t in toks
+                        Token(kind, value, line + delta, col)
+                        for kind, value, line, col in toks
                     ]
                 nc.decls = parse_decls(toks, file=self.file)
             except JnsError:

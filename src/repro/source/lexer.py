@@ -1,7 +1,16 @@
-"""Hand-written lexer for the J&s surface language."""
+"""Lexer for the J&s surface language: one compiled master regex.
+
+Identifiers are ASCII (``[A-Za-z_][A-Za-z0-9_]*``) and numbers use the
+ASCII digits only; any other character outside a string literal or a
+comment is ``JNS-LEX-001``.  (Generated Python code names locals after
+J&s identifiers, and CPython NFKC-folds non-ASCII names, so ``ﬁ`` and
+``fi`` would be one variable on the codegen backend.)
+"""
 
 from __future__ import annotations
 
+import re
+from itertools import repeat
 from typing import List, Optional
 
 from ..diagnostics import DiagnosticSink, Span
@@ -38,6 +47,30 @@ class LexError(JnsError):
 
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\", "'": "'", "0": "\0"}
+_ESCAPE = re.compile(r"\\([\s\S])")
+
+_MULTI_PUNCT = "|".join(re.escape(p) for p in PUNCTUATION if len(p) > 1)
+_SINGLE_PUNCT = "".join(re.escape(p) for p in PUNCTUATION if len(p) == 1)
+
+#: One alternative per token class, each followed by the blanks after it.
+#: ``OPEN_STRING`` is a string literal up to (not including) its closing
+#: quote; when the quote follows, the last group to match is ``STRING``.
+#: A block comment without ``*/`` falls through to ``OPEN_COMMENT``.
+#: Comments and numbers precede ``PUNCT`` because of ``/`` and ``.5``.
+_MASTER = re.compile(
+    r"(?:(?P<WORD>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<NEWLINE>\n)"
+    r"|(?P<SKIP>//[^\n]*|[ \t\r]+)"
+    r"|(?P<COMMENT>/\*[\s\S]*?\*/)"
+    r"|(?P<OPEN_COMMENT>/\*)"
+    r"|(?P<NUMBER>(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    rf"|(?P<PUNCT>{_MULTI_PUNCT}|[{_SINGLE_PUNCT}])"
+    r'|(?P<OPEN_STRING>"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*)(?P<STRING>")?'
+    r"|(?P<BAD>[\s\S]))[ \t\r]*"
+)
+
+#: builds a :class:`Token` from a plain 4-tuple without a Python-level call
+_as_token = tuple.__new__
 
 
 def tokenize(source: str, sink: Optional[DiagnosticSink] = None) -> List[Token]:
@@ -58,118 +91,70 @@ def tokenize(source: str, sink: Optional[DiagnosticSink] = None) -> List[Token]:
         return tokens
 
 
+def _unescape(body: str) -> str:
+    if "\\" not in body:
+        return body
+    return _ESCAPE.sub(lambda m: _ESCAPES.get(m.group(1), m.group(1)), body)
+
+
 def _tokenize(source: str, sink: Optional[DiagnosticSink]) -> List[Token]:
-    tokens: List[Token] = []
-
-    def fail(message: str, line: int, col: int, code: str) -> None:
-        if sink is None:
-            raise LexError(message, line, col, code=code)
-        sink.error(code, f"{message} at {line}:{col}", span=Span(line, col))
-    i = 0
+    raw: List[tuple] = []  # (kind, value, line, col), made Tokens at the end
+    append = raw.append
     line = 1
-    col = 1
-    n = len(source)
+    line_start = -1  # offset of the newline before ``line``
 
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
+    def fail(message: str, offset: int, code: str) -> None:
+        # Errors are rare, so their positions are counted from the start.
+        err_line = source.count("\n", 0, offset) + 1
+        err_col = offset - source.rfind("\n", 0, offset)
+        if sink is None:
+            raise LexError(message, err_line, err_col, code=code)
+        sink.error(
+            code, f"{message} at {err_line}:{err_col}", span=Span(err_line, err_col)
+        )
 
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        if source.startswith("/*", i):
-            start_line, start_col = line, col
-            advance(2)
-            while i < n and not source.startswith("*/", i):
-                advance(1)
-            if i >= n:
-                fail("unterminated block comment", start_line, start_col, "JNS-LEX-003")
-                continue
-            advance(2)
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            start_line, start_col = line, col
-            j = i
-            is_double = False
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
-                is_double = True
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    is_double = True
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            text = source[i:j]
-            advance(j - i)
-            kind = DOUBLE_LIT if is_double else INT_LIT
-            tokens.append(Token(kind, text, start_line, start_col))
-            continue
-        if ch.isalpha() or ch == "_":
-            start_line, start_col = line, col
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            advance(j - i)
+    for m in _MASTER.finditer(source):
+        group = m.lastgroup
+        if group == "WORD":
+            text = m[group]
             kind = KEYWORD if text in KEYWORDS else IDENT
-            tokens.append(Token(kind, text, start_line, start_col))
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            advance(1)
-            chars: List[str] = []
-            while i < n and source[i] != '"':
-                if source[i] == "\\":
-                    advance(1)
-                    if i >= n:
-                        break
-                    esc = source[i]
-                    chars.append(_ESCAPES.get(esc, esc))
-                    advance(1)
-                else:
-                    if source[i] == "\n":
-                        fail("newline in string literal", line, col, "JNS-LEX-004")
-                        break
-                    chars.append(source[i])
-                    advance(1)
-            if i >= n:
-                fail(
-                    "unterminated string literal", start_line, start_col, "JNS-LEX-002"
-                )
-            else:
-                advance(1)  # closing quote (or the newline, under recovery)
-            tokens.append(Token(STRING_LIT, "".join(chars), start_line, start_col))
-            continue
-        matched = False
-        for punct in PUNCTUATION:
-            if source.startswith(punct, i):
-                tokens.append(Token(PUNCT, punct, line, col))
-                advance(len(punct))
-                matched = True
-                break
-        if not matched:
-            fail(f"unexpected character {ch!r}", line, col, "JNS-LEX-001")
-            advance(1)  # recovery: skip the offending character
+            append((kind, text, line, m.start() - line_start))
+        elif group == "PUNCT":
+            append((PUNCT, m[group], line, m.start() - line_start))
+        elif group == "NEWLINE":
+            line += 1
+            line_start = m.start()
+        elif group == "NUMBER":
+            text = m[group]
+            kind = INT_LIT if text.isdigit() else DOUBLE_LIT
+            append((kind, text, line, m.start() - line_start))
+        elif group == "SKIP":
+            pass
+        elif group == "COMMENT":
+            text = m[group]
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = m.start() + text.rindex("\n")
+        elif group == "STRING" or group == "OPEN_STRING":
+            start = m.start()
+            body = m["OPEN_STRING"][1:]
+            unclosed = group == "OPEN_STRING"
+            at_newline = unclosed and source.startswith("\n", m.end(group))
+            if at_newline:
+                fail("newline in string literal", m.end(group), "JNS-LEX-004")
+            elif unclosed:
+                fail("unterminated string literal", start, "JNS-LEX-002")
+            append((STRING_LIT, _unescape(body), line, start - line_start))
+            if "\n" in body:  # escaped newlines
+                line += body.count("\n")
+                line_start = start + 1 + body.rindex("\n")
+            if unclosed and not at_newline:
+                break  # at the end of the input, or at a lone trailing '\'
+        elif group == "OPEN_COMMENT":
+            fail("unterminated block comment", m.start(), "JNS-LEX-003")
+            break
+        else:  # BAD: recovery skips the offending character
+            fail(f"unexpected character {m[group]!r}", m.start(), "JNS-LEX-001")
 
-    tokens.append(Token(EOF, "", line, col))
-    return tokens
+    append((EOF, "", source.count("\n") + 1, len(source) - source.rfind("\n")))
+    return list(map(_as_token, repeat(Token), raw))

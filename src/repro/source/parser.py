@@ -16,7 +16,8 @@ what the evaluation programs need:
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+import sys
+from typing import Any, Callable, List, Optional
 
 from ..diagnostics import DiagnosticSink, Span
 from ..errors import JnsError
@@ -37,6 +38,25 @@ from .tokens import (
 PRIMITIVES = ("int", "double", "boolean", "String", "void")
 
 _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=")
+
+#: Binary operators by precedence, loosest first.  ``instanceof`` sits
+#: at the relational level and takes a type as its right operand.
+_BINARY_PRECEDENCE = {
+    "||": 1,
+    "&&": 2,
+    "==": 3, "!=": 3,
+    "<": 4, "<=": 4, ">": 4, ">=": 4, "instanceof": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6, "%": 6,
+}
+_TIGHTEST = max(_BINARY_PRECEDENCE.values())
+
+#: keyword -> (value, type name) of its literal
+_KEYWORD_LITERALS = {
+    "true": (True, "boolean"),
+    "false": (False, "boolean"),
+    "null": (None, "null"),
+}
 
 
 class ParseError(JnsError):
@@ -81,36 +101,44 @@ class Parser:
         # ``tokens`` lets the incremental front end parse a pre-lexed
         # chunk whose token positions were shifted to absolute lines.
         self.tokens = tokenize(source, sink=sink) if tokens is None else tokens
+        self._last = len(self.tokens) - 1  # the EOF token
         self.pos = 0
         self._depth = 0  # current expression/type nesting
 
     # -- token helpers ----------------------------------------------------
+    #
+    # ``pos`` never passes the EOF token (``next`` stops there and
+    # backtracking only restores earlier positions), so the current token
+    # is ``self.tokens[self.pos]``, and a matched punctuation or keyword
+    # token is never EOF.
 
     def peek(self, offset: int = 0) -> Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        idx = self.pos + offset
+        return self.tokens[idx if idx < self._last else self._last]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != EOF:
             self.pos += 1
         return tok
 
     def at_punct(self, punct: str) -> bool:
-        return self.peek().is_punct(punct)
+        tok = self.tokens[self.pos]
+        return tok.value == punct and tok.kind == PUNCT
 
     def at_keyword(self, word: str) -> bool:
-        return self.peek().is_keyword(word)
+        tok = self.tokens[self.pos]
+        return tok.value == word and tok.kind == KEYWORD
 
     def accept_punct(self, punct: str) -> bool:
         if self.at_punct(punct):
-            self.next()
+            self.pos += 1
             return True
         return False
 
     def accept_keyword(self, word: str) -> bool:
         if self.at_keyword(word):
-            self.next()
+            self.pos += 1
             return True
         return False
 
@@ -125,14 +153,14 @@ class Parser:
         return self.next()
 
     def expect_ident(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != IDENT:
             raise ParseError("expected identifier", tok)
-        return self.next()
+        self.pos += 1
+        return tok
 
     def _pos(self) -> ast.Pos:
-        tok = self.peek()
-        return (tok.line, tok.col)
+        return self.tokens[self.pos][2:]  # (line, col)
 
     def _enter_nesting(self) -> int:
         """Count one more level of structure against :data:`MAX_NESTING`
@@ -341,55 +369,48 @@ class Parser:
         pos = self._pos()
         t = self.parse_type_primary()
         # Suffixes: .Ident | .class | ! | [Type] (prefix) | [] (array) | \f
-        name_path: Optional[List[str]] = None
-        if isinstance(t, ast.TName):
-            name_path = list(t.parts)
-        elif isinstance(t, ast.TPrim) and t.name == "this":  # never happens
-            name_path = None
+        name_path = list(t.parts) if isinstance(t, ast.TName) else None
         while True:
-            if self.at_punct(".") and self.peek(1).is_keyword("class"):
+            tok = self.tokens[self.pos]
+            if tok.kind != PUNCT:
+                break
+            op = tok.value
+            if op == "." and self.peek(1).is_keyword("class"):
                 if name_path is None:
-                    raise ParseError(".class requires a simple access path", self.peek())
-                self.next()
-                self.next()
+                    raise ParseError(".class requires a simple access path", tok)
+                self.pos += 2
                 t = ast.TDep(tuple(name_path), pos)
                 name_path = None
-                continue
-            if self.at_punct(".") and self.peek(1).kind == IDENT:
-                self.next()
+            elif op == "." and self.peek(1).kind == IDENT:
+                self.pos += 1
                 name = self.expect_ident().value
                 if name_path is not None:
                     name_path.append(name)
                     t = ast.TName(tuple(name_path), pos)
                 else:
                     t = ast.TNested(t, name, pos)
-                continue
-            if self.at_punct("!"):
-                self.next()
+            elif op == "!":
+                self.pos += 1
                 t = ast.TExact(t, pos)
                 name_path = None
-                continue
-            if self.at_punct("[") and self.peek(1).is_punct("]"):
-                self.next()
-                self.next()
+            elif op == "[" and self.peek(1).is_punct("]"):
+                self.pos += 2
                 t = ast.TArray(t, pos)
                 name_path = None
-                continue
-            if self.at_punct("["):
-                self.next()
+            elif op == "[":
+                self.pos += 1
                 index = self.parse_type()
                 self.expect_punct("]")
                 t = ast.TPrefix(t, index, pos)
                 name_path = None
-                continue
-            if self.at_punct("\\"):
+            elif op == "\\":
                 masks: List[str] = []
                 while self.accept_punct("\\"):
                     masks.append(self.expect_ident().value)
                 t = ast.TMask(t, tuple(masks), pos)
                 name_path = None
-                continue
-            break
+            else:
+                break
         return t
 
     def parse_type_primary(self) -> ast.TypeAST:
@@ -510,7 +531,11 @@ class Parser:
     # -- expressions --------------------------------------------------------
 
     def parse_expr(self) -> ast.Expr:
-        return self._nested(self.parse_assign)
+        base = self._enter_nesting()
+        try:
+            return self.parse_assign()
+        finally:
+            self._depth = base
 
     def parse_assign(self) -> ast.Expr:
         pos = self._pos()
@@ -528,7 +553,7 @@ class Parser:
 
     def parse_cond(self) -> ast.Expr:
         pos = self._pos()
-        cond = self.parse_or()
+        cond = self.parse_binary()
         if self.accept_punct("?"):
             then = self.parse_expr()
             self.expect_punct(":")
@@ -536,72 +561,56 @@ class Parser:
             return ast.Cond(cond, then, els, pos)
         return cond
 
-    def _binary_chain(self, operand: Callable[[], ast.Expr], ops) -> ast.Expr:
-        """A left-associative run ``operand (op operand)*``.  Each
-        operator deepens the tree by one level, so a long flat chain
-        counts against the nesting budget like explicit nesting does."""
+    def parse_binary(self, min_prec: int = 1) -> ast.Expr:
+        """Binary operators binding at least as tightly as ``min_prec``,
+        left-associative, by precedence climbing.
+
+        Each operator deepens the tree by one level, so a long flat chain
+        counts against the nesting budget like explicit nesting does: the
+        n-th operator of a run of equal precedence is n levels deep, and
+        the count restarts when a looser operator ends the run.  (The
+        operators of one loop never get tighter: the right operand takes
+        those, and after ``instanceof T`` they stop the loop.)"""
         base = self._depth
         try:
-            left = operand()
+            left = self.parse_unary()
+            prec = _TIGHTEST  # precedence of the current run
+            run = 0  # operators in the current run
             while True:
-                tok = self.peek()
-                if tok.kind != PUNCT or tok.value not in ops:
+                tok = self.tokens[self.pos]
+                if tok.kind != PUNCT and tok.kind != KEYWORD:
                     return left
+                op_prec = _BINARY_PRECEDENCE.get(tok.value)
+                if op_prec is None or not min_prec <= op_prec <= prec:
+                    return left
+                if op_prec < prec:
+                    prec, run = op_prec, 0
+                self._depth = base + run
+                run += 1
                 self._enter_nesting()
-                pos = self._pos()
-                self.next()
-                left = ast.Binary(tok.value, left, operand(), pos)
-        finally:
-            self._depth = base
-
-    def parse_or(self) -> ast.Expr:
-        return self._binary_chain(self.parse_and, ("||",))
-
-    def parse_and(self) -> ast.Expr:
-        return self._binary_chain(self.parse_equality, ("&&",))
-
-    def parse_equality(self) -> ast.Expr:
-        return self._binary_chain(self.parse_relational, ("==", "!="))
-
-    def parse_relational(self) -> ast.Expr:
-        base = self._depth
-        try:
-            left = self.parse_additive()
-            while True:
-                tok = self.peek()
-                if tok.kind == PUNCT and tok.value in ("<", "<=", ">", ">="):
-                    self._enter_nesting()
-                    pos = self._pos()
-                    self.next()
-                    right = self.parse_additive()
-                    left = ast.Binary(tok.value, left, right, pos)
-                elif tok.is_keyword("instanceof"):
-                    self._enter_nesting()
-                    pos = self._pos()
-                    self.next()
-                    ref_type = self.parse_type()
-                    left = ast.InstanceOf(left, ref_type, pos)
+                self.pos += 1
+                pos = tok[2:]
+                if tok.value == "instanceof":
+                    left = ast.InstanceOf(left, self.parse_type(), pos)
                 else:
-                    return left
+                    right = self.parse_binary(op_prec + 1)
+                    left = ast.Binary(tok.value, left, right, pos)
         finally:
             self._depth = base
-
-    def parse_additive(self) -> ast.Expr:
-        return self._binary_chain(self.parse_multiplicative, ("+", "-"))
-
-    def parse_multiplicative(self) -> ast.Expr:
-        return self._binary_chain(self.parse_unary, ("*", "/", "%"))
 
     def parse_unary(self) -> ast.Expr:
-        pos = self._pos()
-        if self.at_punct("!") or self.at_punct("-"):
-            op = self.next().value
-            return ast.Unary(op, self._nested(self.parse_unary), pos)
-        if self.accept_punct("+"):
-            return self._nested(self.parse_unary)
-        cast = self.try_parse_cast()
-        if cast is not None:
-            return cast
+        tok = self.tokens[self.pos]
+        if tok.kind == PUNCT:
+            if tok.value == "!" or tok.value == "-":
+                self.pos += 1
+                return ast.Unary(tok.value, self._nested(self.parse_unary), tok[2:])
+            if tok.value == "+":
+                self.pos += 1
+                return self._nested(self.parse_unary)
+            if tok.value == "(":
+                cast = self.try_parse_cast()
+                if cast is not None:
+                    return cast
         return self.parse_postfix()
 
     def try_parse_cast(self) -> Optional[ast.Expr]:
@@ -655,35 +664,37 @@ class Parser:
         try:
             expr = self.parse_primary()
             while True:
-                pos = self._pos()
-                if self.at_punct(".") and self.peek(1).kind == IDENT:
+                tok = self.tokens[self.pos]
+                if tok.kind != PUNCT:
+                    return expr
+                pos = tok[2:]
+                if tok.value == "." and self.peek(1).kind == IDENT:
                     self._enter_nesting()
-                    self.next()
+                    self.pos += 1
                     name = self.expect_ident().value
                     if self.at_punct("("):
                         args = self.parse_args()
                         expr = ast.Call(expr, name, args, pos)
                     else:
                         expr = ast.FieldGet(expr, name, pos)
-                    continue
-                if self.at_punct("["):
+                elif tok.value == "[":
                     self._enter_nesting()
-                    self.next()
+                    self.pos += 1
                     idx = self.parse_expr()
                     self.expect_punct("]")
                     expr = ast.Index(expr, idx, pos)
-                    continue
-                if self.at_punct("++") or self.at_punct("--"):
+                elif tok.value == "++" or tok.value == "--":
                     self._enter_nesting()
-                    op = self.next().value
+                    self.pos += 1
                     if not isinstance(expr, (ast.Var, ast.FieldGet, ast.Index)):
                         raise ParseError(
                             "invalid increment target", self.peek(), code="JNS-PARSE-003"
                         )
                     one = ast.Lit(1, "int", pos)
-                    expr = ast.Assign(expr, one, "+=" if op == "++" else "-=", pos)
-                    continue
-                return expr
+                    op = "+=" if tok.value == "++" else "-="
+                    expr = ast.Assign(expr, one, op, pos)
+                else:
+                    return expr
         finally:
             self._depth = base
 
@@ -699,43 +710,38 @@ class Parser:
         return args
 
     def parse_primary(self) -> ast.Expr:
-        pos = self._pos()
-        tok = self.peek()
-        if tok.kind == INT_LIT:
-            self.next()
-            return ast.Lit(int(tok.value), "int", pos)
-        if tok.kind == DOUBLE_LIT:
-            self.next()
-            return ast.Lit(float(tok.value), "double", pos)
-        if tok.kind == STRING_LIT:
-            self.next()
-            return ast.Lit(tok.value, "String", pos)
-        if tok.is_keyword("true"):
-            self.next()
-            return ast.Lit(True, "boolean", pos)
-        if tok.is_keyword("false"):
-            self.next()
-            return ast.Lit(False, "boolean", pos)
-        if tok.is_keyword("null"):
-            self.next()
-            return ast.Lit(None, "null", pos)
-        if tok.is_keyword("this"):
-            self.next()
-            return ast.This(pos)
-        if tok.is_keyword("new"):
-            self.next()
-            return self.parse_new(pos)
-        if tok.is_punct("("):
-            self.next()
-            expr = self.parse_expr()
-            self.expect_punct(")")
-            return expr
-        if tok.kind == IDENT:
-            self.next()
+        tok = self.tokens[self.pos]
+        pos = tok[2:]
+        kind = tok.kind
+        if kind == IDENT:
+            self.pos += 1
             if self.at_punct("("):
                 args = self.parse_args()
                 return ast.Call(None, tok.value, args, pos)
             return ast.Var(tok.value, pos)
+        if kind == INT_LIT:
+            self.pos += 1
+            return ast.Lit(int(tok.value), "int", pos)
+        if kind == DOUBLE_LIT:
+            self.pos += 1
+            return ast.Lit(float(tok.value), "double", pos)
+        if kind == STRING_LIT:
+            self.pos += 1
+            return ast.Lit(tok.value, "String", pos)
+        if kind == KEYWORD and tok.value in _KEYWORD_LITERALS:
+            self.pos += 1
+            return ast.Lit(*_KEYWORD_LITERALS[tok.value], pos)
+        if tok.is_keyword("this"):
+            self.pos += 1
+            return ast.This(pos)
+        if tok.is_keyword("new"):
+            self.pos += 1
+            return self.parse_new(pos)
+        if tok.is_punct("("):
+            self.pos += 1
+            expr = self.parse_expr()
+            self.expect_punct(")")
+            return expr
         raise ParseError("expected expression", tok)
 
     def parse_new(self, pos: ast.Pos) -> ast.Expr:
@@ -813,6 +819,17 @@ class Parser:
         return t
 
 
+#: The parser costs at most 8 Python frames per nesting level (through
+#: call arguments: parse_expr, parse_assign, parse_cond, parse_binary,
+#: parse_unary, parse_postfix, parse_primary, parse_args), about 2000 at
+#: :data:`MAX_NESTING` -- more than CPython's default limit of 1000.
+#: :func:`parse_program` and :func:`parse_decls` raise the interpreter
+#: stack limit to this for the duration of the parse only, leaving the
+#: caller 3000 frames, and restore it afterwards: the process-wide limit
+#: must be left untouched.
+_PARSE_RECURSION_LIMIT = 5000
+
+
 def parse_program(
     source: str,
     file: Optional[str] = None,
@@ -827,16 +844,10 @@ def parse_program(
     and a (possibly partial) compilation unit is still returned so later
     phases can report additional, independent errors.
     """
-    import sys
-
-    # The expression grammar costs ~13 Python frames per nesting level.
-    # Raise the interpreter stack limit for the duration of the parse
-    # only, and restore it afterwards — the process-wide limit must be
-    # left untouched (MAX_NESTING bounds how much of it we can use).
     old_limit = sys.getrecursionlimit()
     try:
-        if old_limit < 20000:
-            sys.setrecursionlimit(20000)
+        if old_limit < _PARSE_RECURSION_LIMIT:
+            sys.setrecursionlimit(_PARSE_RECURSION_LIMIT)
         if not TRACER.enabled:
             return Parser(source, file=file, sink=sink).parse_program()
         with TRACER.span("parse", chars=len(source)):
@@ -856,12 +867,10 @@ def parse_decls(tokens: List[Token], file: Optional[str] = None) -> List[ast.Cla
     reparsing and falls back to a full :func:`parse_program` whenever a
     chunk fails, so panic-mode recovery is never needed here.
     """
-    import sys
-
     old_limit = sys.getrecursionlimit()
     try:
-        if old_limit < 20000:
-            sys.setrecursionlimit(20000)
+        if old_limit < _PARSE_RECURSION_LIMIT:
+            sys.setrecursionlimit(_PARSE_RECURSION_LIMIT)
         return Parser("", file=file, tokens=tokens).parse_program().classes
     finally:
         sys.setrecursionlimit(old_limit)

@@ -7,7 +7,7 @@ arrays, ``double`` arithmetic, and a small ``Sys`` native library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Token kinds.
 IDENT = "IDENT"
@@ -90,8 +90,7 @@ PUNCTUATION = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token with its source position (1-based)."""
 
     kind: str

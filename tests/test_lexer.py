@@ -126,3 +126,70 @@ class TestCommentsAndPositions:
         assert tok.is_keyword("class")
         assert not tok.is_keyword("view")
         assert not tok.is_punct("{")
+
+
+class TestAsciiOnly:
+    """Identifiers and numbers are ASCII: ``str.isdigit`` accepts ``²``,
+    which ``int()`` rejects, and ``str.isalpha`` accepts ``ﬁ``, which
+    CPython's NFKC folding makes the same Python name as ``fi`` in
+    generated code."""
+
+    FOLDED = (
+        "class Main { int main() { int ﬁ = 1; int fi = 2; "
+        "return ﬁ * 10 + fi; } }"
+    )
+
+    @pytest.mark.parametrize("digit", ["²", "٣", "３"])
+    def test_unicode_digit_is_an_unexpected_character(self, digit):
+        from repro import JnsError, check_source, compile_program
+
+        skipped = f"class Main {{ int main() {{ return 1{digit}; }} }}"
+        sink = check_source(skipped)
+        assert [d.code for d in sink.diagnostics] == ["JNS-LEX-001"]
+        assert sink.diagnostics[0].span.col == skipped.index(digit) + 1
+        alone = f"class Main {{ int main() {{ return {digit}; }} }}"
+        assert check_source(alone).diagnostics[0].code == "JNS-LEX-001"
+        for source in (skipped, alone):
+            with pytest.raises(LexError) as info:
+                compile_program(source)
+            assert info.value.code == "JNS-LEX-001"
+        with pytest.raises(JnsError):
+            tokenize(digit)
+
+    def test_unicode_digit_does_not_continue_a_number(self):
+        from repro.diagnostics import DiagnosticSink
+
+        sink = DiagnosticSink()
+        toks = tokenize("12٣4", sink=sink)
+        assert [(t.kind, t.value, t.col) for t in toks[:-1]] == [
+            (INT_LIT, "12", 1),
+            (INT_LIT, "4", 4),
+        ]
+        assert [d.code for d in sink.diagnostics] == ["JNS-LEX-001"]
+
+    def test_non_ascii_identifier_is_an_unexpected_character(self):
+        from repro import check_source, compile_program
+
+        with pytest.raises(LexError) as info:
+            compile_program(self.FOLDED)
+        assert info.value.code == "JNS-LEX-001"
+        assert check_source(self.FOLDED).diagnostics[0].code == "JNS-LEX-001"
+        with pytest.raises(LexError):
+            tokenize("café")
+
+    def test_strings_and_comments_keep_any_character(self):
+        from repro import run_program
+
+        text = "ﬁ é ²"
+        source = (
+            "class Main { int main() {\n"
+            f"  // {text}\n"
+            f"  /* {text} */\n"
+            f'  Sys.print("{text}");\n'
+            "  return 1;\n"
+            "} }"
+        )
+        assert [t.value for t in tokenize(source) if t.kind == STRING_LIT] == [text]
+        walker = run_program(source, backend="walker")
+        assert walker == (1, [text])
+        assert run_program(source, backend="codegen") == walker

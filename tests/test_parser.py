@@ -310,3 +310,23 @@ class TestExpressions:
         assert expr("null").kind == "null"
         assert expr("true").value is True
         assert expr("false").value is False
+
+    def test_left_associative_at_every_level(self):
+        for op in ("||", "&&", "==", "<", "+", "*"):
+            e = expr(f"a {op} b {op} c")
+            assert e.op == op and isinstance(e.left, ast.Binary)
+            assert isinstance(e.right, ast.Var)
+
+    def test_instanceof_is_relational(self):
+        e = expr("a + b instanceof T == c")
+        assert e.op == "=="
+        assert isinstance(e.left, ast.InstanceOf)
+        assert isinstance(e.left.expr, ast.Binary) and e.left.expr.op == "+"
+
+    def test_no_tighter_operator_after_instanceof(self):
+        with pytest.raises(ParseError, match=r"expected ';' .*got '\*'"):
+            first_stmt("x = a instanceof T * b;")
+
+    def test_string_literal_is_not_an_operator(self):
+        with pytest.raises(ParseError):
+            first_stmt('x = a "+" b;')
